@@ -95,6 +95,23 @@ def revert_boundary(constraint):
     return RevertedBoundary(s1_series=sol[0], s3_series=sol[1])
 
 
+def _float_terms(poly):
+    """Terms ``(float(c), i, j)`` of a polynomial in the two data values, in
+    its stored term order."""
+    return tuple((float(c), i, j) for (i, j), c in poly.terms.items())
+
+
+def _evaluate_float(terms, u, v):
+    """Sum of ``c·u**i·v**j`` in term order: at float data the same float as
+    ``float(poly.evaluate((u, v)))``, since a Fraction coefficient times a
+    float already rounds to ``float(c)`` times it (a Horner form would
+    round differently)."""
+    total = 0.0
+    for c, i, j in terms:
+        total += c * u ** i * v ** j
+    return float(total)
+
+
 @dataclass(frozen=True)
 class RobinBC:
     """Coefficients of C - P·Cx - Q·Cx^2 = R at one boundary.
@@ -110,13 +127,16 @@ class RobinBC:
     side: str
     data: tuple = None  # pair of callables for this side's Dirichlet values
 
+    def __post_init__(self):
+        # the solvers evaluate P and R at every right-hand side: compile once
+        object.__setattr__(self, "_P_float", _float_terms(self.P))
+        object.__setattr__(self, "_R_float", _float_terms(self.R))
+
     def P_at(self, t):
-        u, v = self.data[0](t), self.data[1](t)
-        return float(self.P.evaluate((u, v)))
+        return _evaluate_float(self._P_float, self.data[0](t), self.data[1](t))
 
     def R_at(self, t):
-        u, v = self.data[0](t), self.data[1](t)
-        return float(self.R.evaluate((u, v)))
+        return _evaluate_float(self._R_float, self.data[0](t), self.data[1](t))
 
     def residual(self, C, Cx, t):
         """C - P(t)·Cx - Q·Cx^2 - R(t); zero when the condition holds."""
@@ -135,10 +155,6 @@ class RobinBC:
         return "%s P(%s)= %s Q= %s R(%s)= %s" % (
             self.side, ",".join(names), self.P.pretty(),
             self.Q, ",".join(names), self.R.pretty())
-
-
-def residual(bc, C, Cx, t):
-    return bc.residual(C, Cx, t)
 
 
 def _data_polynomials(reverted):

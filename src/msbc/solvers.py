@@ -8,11 +8,15 @@ its boundary closure is pluggable: heuristic Dirichlet values, the derived
 nonlinear Robin condition, or its linearisation.
 
 Spatial derivatives are second-order central differences; time integration
-uses a variable-order implicit (BDF) scheme with a sparse Jacobian pattern.
-Robin closures solve the boundary relation for the end value by damped
-Newton at every right-hand-side evaluation, differencing the gradient with a
-second-order one-sided stencil and starting from the previous value so the
-root tracks the branch connected to the linear condition.
+uses a variable-order implicit (BDF) scheme with the analytic banded
+Jacobian of the discrete right-hand side.  Robin closures solve the boundary
+relation for the end value at every right-hand-side evaluation, differencing
+the gradient with a second-order one-sided stencil: the relation is then
+quadratic in the end value, so the root is taken in closed form, keeping the
+branch nearest the previous end value (which tracks the branch connected to
+the linear condition) and falling back to the vertex of the quadratic when a
+trial state has no real root.  The Jacobian's end rows carry the end value's
+derivative, found by differentiating the quadratic implicitly.
 """
 
 from __future__ import annotations
@@ -114,22 +118,13 @@ class FieldTrajectory:
         return rows
 
 
-def _micro_jac_sparsity(m):
-    tri = sparse.diags_array([np.ones(m - 1), np.ones(m), np.ones(m - 1)],
-                             offsets=(-1, 0, 1), format="lil")
-    eye = sparse.eye_array(m, format="lil")
-    return sparse.bmat([[tri, eye], [eye, tri]], format="csr")
+def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
+    """Right-hand side and analytic Jacobian of the two-stream system over
+    the interior unknowns y = (a_1..a_{n-1}, b_1..b_{n-1}).
 
-
-def solve_microscale(cfg: SolveConfig, *, initial=None,
-                     reaction=True, advection=True, diffusion=True,
-                     exchange=True):
-    """Integrate the two-stream system; Dirichlet values imposed strongly.
-
-    ``initial`` optionally gives (a, b) nodal arrays at t = 0 (defaults to
-    rest).  The term switches exist for verification runs: dropping the
-    reaction gives the linearised system, dropping everything but the
-    exchange gives the pointwise-conserving pair.
+    The Jacobian has tridiagonal stream blocks (reaction on the diagonal,
+    advection and diffusion beside it) coupled by the exchange on the
+    diagonals of the off-diagonal blocks.
     """
     grid, data = cfg.grid, cfg.data
     n, dx = grid.n, grid.dx
@@ -161,6 +156,39 @@ def solve_microscale(cfg: SolveConfig, *, initial=None,
             db += 3.0 * (b[2:] - 2.0 * bi + b[:-2]) * invdx2
         return np.concatenate([da, db])
 
+    # neighbours within a stream (a advects forward, b backward); the two
+    # stream blocks do not touch across the junction at index m
+    adv = inv2dx if advection else 0.0
+    dif = 3.0 * invdx2 if diffusion else 0.0
+    up = np.concatenate([np.full(m - 1, dif - adv), [0.0], np.full(m - 1, dif + adv)])
+    lo = np.concatenate([np.full(m - 1, dif + adv), [0.0], np.full(m - 1, dif - adv)])
+    diag0 = np.full(2 * m, (-0.5 if exchange else 0.0) - 2.0 * dif)
+    ex = np.full(m, 0.5 if exchange else 0.0)
+    sign = np.concatenate([np.ones(m), -np.ones(m)])
+
+    def jac(t, y):
+        diag = diag0 + sign * y if reaction else diag0
+        return sparse.diags_array([ex, lo, diag, up, ex], offsets=(-m, -1, 0, 1, m),
+                                  format="csc")
+
+    return rhs, jac
+
+
+def solve_microscale(cfg: SolveConfig, *, initial=None,
+                     reaction=True, advection=True, diffusion=True,
+                     exchange=True):
+    """Integrate the two-stream system; Dirichlet values imposed strongly.
+
+    ``initial`` optionally gives (a, b) nodal arrays at t = 0 (defaults to
+    rest).  The term switches exist for verification runs: dropping the
+    reaction gives the linearised system, dropping everything but the
+    exchange gives the pointwise-conserving pair.
+    """
+    grid, data = cfg.grid, cfg.data
+    n = grid.n
+    m = n - 1
+    rhs, jac = _micro_system(cfg, reaction, advection, diffusion, exchange)
+
     if initial is None:
         y0 = np.zeros(2 * m)
     else:
@@ -170,7 +198,7 @@ def solve_microscale(cfg: SolveConfig, *, initial=None,
 
     sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, method="BDF",
                     t_eval=list(cfg.snapshots), rtol=cfg.rtol, atol=cfg.atol,
-                    jac_sparsity=_micro_jac_sparsity(m))
+                    jac=jac)
     if not sol.success:
         reached = sol.t[-1] if len(sol.t) else 0.0
         raise SolverError("microscale integration failed at t=%.4g: %s"
@@ -197,6 +225,9 @@ def _boundary_root(bc: RobinBC, t, c1, c2, dx, side, start):
     value is kept, which tracks the branch continuously connected to the
     linear condition (the transient can bring the branches close together,
     where an iterative solve would grind on the near-double root).
+
+    Returns the end value and its derivatives in ``c1`` and ``c2``, from the
+    implicit derivative of the chosen root of the quadratic.
     """
     P = bc.P_at(t)
     R = bc.R_at(t)
@@ -213,6 +244,7 @@ def _boundary_root(bc: RobinBC, t, c1, c2, dx, side, start):
         if B == 0.0:
             raise SolverError("degenerate %s boundary relation at t=%.4g" % (side, t))
         u = -Cc / B
+        du = -1.0 / B
     else:
         disc = B * B - 4.0 * A * Cc
         if disc < 0.0:
@@ -221,6 +253,7 @@ def _boundary_root(bc: RobinBC, t, c1, c2, dx, side, start):
             # and keeps the right-hand side defined (accepted snapshots are
             # still required to satisfy the relation, checked by the caller)
             u = -B / (2.0 * A)
+            du = 0.0                          # the vertex does not move with cx0
         else:
             sq = disc ** 0.5
             q = -0.5 * (B + (sq if B >= 0.0 else -sq))
@@ -229,37 +262,46 @@ def _boundary_root(bc: RobinBC, t, c1, c2, dx, side, start):
             else:
                 roots = ((-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A))
             u = min(roots, key=lambda r: abs(r - u_prev))
-    return (u - cx0) / alpha
+            slope = 2.0 * A * u + B
+            # a double root has no finite slope: treat it as the vertex
+            du = -1.0 / slope if slope != 0.0 else 0.0
+    dc0 = (du - 1.0) / alpha                  # d(C0)/d(cx0)
+    dcx = sgn / (2.0 * dx)                    # d(cx0)/d(c2); d(cx0)/d(c1) = -4 dcx
+    return (u - cx0) / alpha, -4.0 * dcx * dc0, dcx * dc0
 
 
-def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
-                     initial=None, source=None):
-    """Integrate the mean-field model with the configured boundary closure.
+def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
+    """Right-hand side, analytic Jacobian and end-value closure of the mean
+    model over the interior unknowns y = (C_1..C_{n-1}).
 
-    ``bc_left``/``bc_right`` are RobinBC objects for the robin modes and
-    ignored in dirichlet mode, where the end values are the data means.
-    ``source`` is an optional manufactured forcing f(x, t) used by the
-    verification tests.
+    Returns ``(rhs, jac, closures, prev)``.  ``closures(t, y)`` gives the two
+    end values and records them in ``prev``, the previous end values each
+    Robin root is chosen against; ``jac`` reads ``prev`` but never writes it.
+    The Jacobian is tridiagonal: the Robin end values depend on the first two
+    interior values at their end, which only adds to the end rows.
     """
     grid, data = cfg.grid, cfg.data
     n, dx = grid.n, grid.dx
     m = n - 1
     robin = cfg.bc_mode != "dirichlet-heuristic"
-    if robin and (bc_left is None or bc_right is None):
-        raise ValueError("robin modes need both boundary conditions")
     inv2dx = 1.0 / (2.0 * dx)
     invdx2 = 1.0 / (dx * dx)
     xs = grid.nodes()[1:n]
     prev = {"left": 0.0, "right": 0.0}
 
-    def closures(t, y):
+    def ends(t, y):
+        """Each end value with its derivatives in the two interior values
+        nearest that end."""
         if not robin:
-            c0 = 0.5 * (data.a0(t) + data.b0(t))
-            cn = 0.5 * (data.aL(t) + data.bL(t))
-        else:
-            c0 = _boundary_root(bc_left, t, y[0], y[1], dx, "left", prev["left"])
-            cn = _boundary_root(bc_right, t, y[m - 1], y[m - 2], dx, "right",
-                                  prev["right"])
+            return ((0.5 * (data.a0(t) + data.b0(t)), 0.0, 0.0),
+                    (0.5 * (data.aL(t) + data.bL(t)), 0.0, 0.0))
+        return (_boundary_root(bc_left, t, y[0], y[1], dx, "left", prev["left"]),
+                _boundary_root(bc_right, t, y[m - 1], y[m - 2], dx, "right",
+                               prev["right"]))
+
+    def closures(t, y):
+        (c0, _, _), (cn, _, _) = ends(t, y)
+        if robin:
             prev["left"], prev["right"] = c0, cn
         return c0, cn
 
@@ -275,15 +317,49 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
             dC = dC + source(xs, t)
         return dC
 
-    y0 = np.zeros(m) if initial is None else np.asarray(initial, dtype=float)[1:n]
+    def jac(t, y):
+        (c0, dl1, dl2), (cn, dr1, dr2) = ends(t, y)
+        C = np.empty(n + 1)
+        C[1:n] = y
+        C[0], C[n] = c0, cn
+        Ci = C[1:n]
+        Cx = (C[2:] - C[:-2]) * inv2dx
+        diag = 1.5 * Ci * Ci - 2.0 * Cx - 8.0 * invdx2
+        up = 4.0 * invdx2 - Ci[:-1] / dx       # d(dC_i)/d(C_{i+1})
+        lo = 4.0 * invdx2 + Ci[1:] / dx        # d(dC_i)/d(C_{i-1})
+        # the end rows see the end values through their outer neighbours
+        k0 = 4.0 * invdx2 + Ci[0] / dx
+        kn = 4.0 * invdx2 - Ci[-1] / dx
+        diag[0] += k0 * dl1
+        up[0] += k0 * dl2
+        diag[-1] += kn * dr1
+        lo[-1] += kn * dr2
+        return sparse.diags_array([lo, diag, up], offsets=(-1, 0, 1), format="csc")
 
-    band = sparse.diags_array(
-        [np.ones(m - 2), np.ones(m - 1), np.ones(m), np.ones(m - 1), np.ones(m - 2)],
-        offsets=(-2, -1, 0, 1, 2), format="csr")
+    return rhs, jac, closures, prev
+
+
+def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
+                     initial=None, source=None):
+    """Integrate the mean-field model with the configured boundary closure.
+
+    ``bc_left``/``bc_right`` are RobinBC objects for the robin modes and
+    ignored in dirichlet mode, where the end values are the data means.
+    ``source`` is an optional manufactured forcing f(x, t) used by the
+    verification tests.
+    """
+    grid = cfg.grid
+    n, dx = grid.n, grid.dx
+    robin = cfg.bc_mode != "dirichlet-heuristic"
+    if robin and (bc_left is None or bc_right is None):
+        raise ValueError("robin modes need both boundary conditions")
+    rhs, jac, closures, _ = _macro_system(cfg, bc_left, bc_right, source)
+
+    y0 = np.zeros(n - 1) if initial is None else np.asarray(initial, dtype=float)[1:n]
 
     sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, method="BDF",
                     t_eval=list(cfg.snapshots), rtol=cfg.rtol, atol=cfg.atol,
-                    jac_sparsity=band)
+                    jac=jac)
     if not sol.success:
         reached = sol.t[-1] if len(sol.t) else 0.0
         raise SolverError("macroscale integration failed at t=%.4g: %s"

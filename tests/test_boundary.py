@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -8,6 +10,7 @@ from msbc import boundary
 from msbc.boundary import BoundaryData
 from msbc.series import ReversionError, TruncatedSeries
 
+from conftest import tanhsq
 from test_normalform import against_printed, coef
 
 
@@ -186,7 +189,36 @@ def test_residual_matches_direct_formula(derivation):
         Cx = rng.uniform(-0.2, 0.2)
         t = rng.uniform(0.0, 10.0)
         direct = C - bc.P_at(t) * Cx - float(bc.Q) * Cx ** 2 - bc.R_at(t)
-        assert boundary.residual(bc, C, Cx, t) == pytest.approx(direct, abs=1e-15)
+        assert bc.residual(C, Cx, t) == pytest.approx(direct, abs=1e-15)
+
+
+def _closure_points(ramp_slot):
+    """Data points for the closure: zero, the reference ramp 0.2 tanh^2(t) on
+    one stream, and random pairs over several magnitudes."""
+    rng = random.Random(7)
+    pts = [(0.0, 0.0)]
+    for k in range(2001):
+        f = 0.2 * tanhsq(21.0 * k / 2000)
+        pts.append((f, 0.0) if ramp_slot == 0 else (0.0, f))
+    for _ in range(8000):
+        scale = 10.0 ** rng.randint(-6, 1)
+        pts.append((rng.uniform(-scale, scale), rng.uniform(-scale, scale)))
+    return pts
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("linear", [False, True])
+def test_compiled_closure_bit_identical_to_exact(derivation, side, linear):
+    bc = derivation["bc_" + side]
+    if linear:
+        bc = bc.linearized()
+    # the closure reads its data at "t"; a pair read back as itself probes
+    # the compiled P_at/R_at at any data point
+    probe = dataclasses.replace(bc, data=(operator.itemgetter(0), operator.itemgetter(1)))
+    for pt in _closure_points(0 if side == "left" else 1):
+        for fast, exact in ((probe.P_at(pt), bc.P.evaluate(pt)),
+                            (probe.R_at(pt), bc.R.evaluate(pt))):
+            assert fast == float(exact) and repr(fast) == repr(float(exact)), pt
 
 
 def test_boundary_data_descriptions():

@@ -161,6 +161,103 @@ def test_exchange_only_conserves_total():
     assert abs(after - before) <= 1e-8 * max(1.0, abs(before))
 
 
+def _assert_jacobian_matches(J, rhs, t, y, h=1e-6):
+    """An analytic Jacobian at (t, y) against a central difference of the
+    same right-hand side, to a relative 1e-6."""
+    J = J.toarray()
+    fd = np.empty_like(J)
+    for k in range(len(y)):
+        e = np.zeros_like(y)
+        e[k] = h
+        fd[:, k] = (rhs(t, y + e) - rhs(t, y - e)) / (2.0 * h)
+    np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-8 * np.max(np.abs(fd)))
+
+
+def _profile(m, seed):
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, m)
+    return 0.15 * np.sin(3.0 * x) + 0.05 + 0.01 * rng.standard_normal(m)
+
+
+SWITCHES = ("reaction", "advection", "diffusion", "exchange")
+
+
+@pytest.mark.parametrize("off", (None,) + SWITCHES)
+def test_micro_jacobian_matches_central_difference(off):
+    cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=reference_data())
+    rhs, jac = solvers._micro_system(cfg, **{k: k != off for k in SWITCHES})
+    y = np.concatenate([_profile(31, 1), -_profile(31, 2)])
+    _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y)
+
+
+def _macro(mode, bcs=(None, None), source=None):
+    cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=reference_data(),
+                      bc_mode=mode)
+    return cfg, solvers._macro_system(cfg, *bcs, source)
+
+
+def test_macro_dirichlet_jacobian_with_source():
+    _, (rhs, jac, _, _) = _macro("dirichlet-heuristic",
+                                 source=lambda x, t: 0.1 * np.sin(x) * (1.0 + t))
+    y = _profile(31, 3)
+    _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y)
+
+
+def _end_roots(bc, t, c1, c2, dx):
+    """Both end values satisfying the Robin relation with the one-sided
+    gradient Cx = alpha C0 + cx0."""
+    sgn = -1.0 if bc.side == "left" else 1.0
+    alpha, cx0 = sgn * 3.0 / (2.0 * dx), sgn * (c2 - 4.0 * c1) / (2.0 * dx)
+    P, Q, R = bc.P_at(t), float(bc.Q), bc.R_at(t)
+    return np.sort(np.roots([-Q * alpha ** 2, 1.0 - P * alpha - 2.0 * Q * alpha * cx0,
+                             -P * cx0 - Q * cx0 ** 2 - R]))
+
+
+@pytest.mark.parametrize("branch", [0, 1])
+def test_macro_robin_jacobian_on_both_root_branches(derivation, branch):
+    bcs = derivation["bc_left"], derivation["bc_right"]
+    cfg, (rhs, jac, closures, prev) = _macro("robin-derived", bcs)
+    t, y, dx = 2.0, _profile(31, 4), cfg.grid.dx
+    left = _end_roots(bcs[0], t, y[0], y[1], dx)
+    right = _end_roots(bcs[1], t, y[-1], y[-2], dx)
+    assert np.isreal(left).all() and np.isreal(right).all()
+    assert np.diff(left.real) > 1e-3 and np.diff(right.real) > 1e-3
+    prev["left"], prev["right"] = left[branch].real, right[branch].real
+    before = dict(prev)
+    J = jac(t, y)
+    assert prev == before            # the Jacobian leaves the root tracking alone
+    _assert_jacobian_matches(J, rhs, t, y)
+    c0, cn = closures(t, y)
+    assert c0 == pytest.approx(left[branch].real, rel=1e-9)
+    assert cn == pytest.approx(right[branch].real, rel=1e-9)
+
+
+def test_macro_robin_jacobian_at_vertex_fallback(derivation):
+    bcs = derivation["bc_left"], derivation["bc_right"]
+    cfg, (rhs, jac, closures, _) = _macro("robin-derived", bcs)
+    t, y, dx = 2.0, _profile(31, 5), cfg.grid.dx
+    # move C1 so that the left quadratic in the gradient has no real root:
+    # alpha Q u^2 + (alpha P - 1) u + cx0 + alpha R with discriminant < 0
+    bc = bcs[0]
+    alpha = -3.0 / (2.0 * dx)
+    A, B = alpha * float(bc.Q), alpha * bc.P_at(t) - 1.0
+    cx0 = B * B / (4.0 * A) - alpha * bc.R_at(t) + np.sign(A) * 0.5
+    y[0] = (y[1] + 2.0 * dx * cx0) / 4.0
+    assert not np.isreal(_end_roots(bc, t, y[0], y[1], dx)).any()
+    c0, _ = closures(t, y)
+    cx = (-3.0 * c0 + 4.0 * y[0] - y[1]) / (2.0 * dx)
+    assert abs(bc.residual(c0, cx, t)) > 1e-3   # the vertex, not a root
+    _assert_jacobian_matches(jac(t, y), rhs, t, y)
+
+
+def test_macro_linearised_robin_jacobian(derivation):
+    bcs = derivation["bc_left"].linearized(), derivation["bc_right"].linearized()
+    assert bcs[0].Q == 0 and bcs[1].Q == 0
+    _, (rhs, jac, _, _) = _macro("robin-linearised", bcs)
+    y = _profile(31, 6)
+    _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y)
+
+
 def test_robin_boundary_residual_after_steps(reference_run):
     # enforced internally after every snapshot; recheck here directly
     grid = reference_run["grid"]
