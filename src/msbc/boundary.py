@@ -138,6 +138,12 @@ class RobinBC:
     def R_at(self, t):
         return _evaluate_float(self._R_float, self.data[0](t), self.data[1](t))
 
+    def coefficients_at(self, t):
+        """(P(t), R(t)) from one read of the data pair: the same floats as
+        ``P_at`` and ``R_at``."""
+        u, v = self.data[0](t), self.data[1](t)
+        return _evaluate_float(self._P_float, u, v), _evaluate_float(self._R_float, u, v)
+
     def residual(self, C, Cx, t):
         """C - P(t)·Cx - Q·Cx^2 - R(t); zero when the condition holds."""
         return C - self.P_at(t) * Cx - float(self.Q) * Cx * Cx - self.R_at(t)

@@ -249,7 +249,7 @@ def cmd_derive(order, out_dir, eps_order=None):
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=order, eps_order=eps_order)
     cross = normalform.cross_validate_embeddings(
-        order=order, eps_order=eps_order, tolerance=_cross_tolerance())
+        deriv.transform, deriv.evolution, tolerance=_cross_tolerance())
 
     _write(os.path.join(out_dir, "derivation_report.txt"),
            derivation_report(deriv, cross))
@@ -342,7 +342,7 @@ def cmd_compare(scenario_file, out_dir, window=solvers.DEFAULT_WINDOW):
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=scenario.order, data=scenario.data)
     cross = normalform.cross_validate_embeddings(
-        order=scenario.order, tolerance=_cross_tolerance())
+        deriv.transform, deriv.evolution, tolerance=_cross_tolerance())
 
     micro = _run_mode(scenario, "micro")
     runs = {}

@@ -79,12 +79,6 @@ class Matrix:
             ])
         return self.scaled(other)
 
-    def matvec(self, vec):
-        vec = [_frac(v) for v in vec]
-        if len(vec) != self.m:
-            raise LinalgError("shape mismatch")
-        return [sum((row[k] * vec[k] for k in range(self.m)), Fraction(0)) for row in self.rows]
-
     def transpose(self):
         return Matrix([[self.rows[i][j] for i in range(self.n)] for j in range(self.m)])
 

@@ -99,17 +99,43 @@ def _acc(d, key, c):
 
 
 def _mul_slice(d1, d2, order, eps_order, out, scale=1):
+    """Accumulate scale·d1·d2 into ``out``, dropping products beyond the caps.
+
+    Exponents stay below 8 (``order`` <= 7), so packed keys add without carry
+    and a product is admissible exactly when ``k2`` fits the budget that
+    ``k1`` leaves.  The admissible part of ``d2`` is filtered once per budget,
+    keeping d2's order: the pairs are visited in the nested-loop order, so
+    float sums and the insertion order of ``out`` do not change.
+    """
     if not d1 or not d2:
         return
     if len(d1) > len(d2):
         d1, d2 = d2, d1
+    packed = [(k2, c2, _sdeg(k2), k2 >> 16) for k2, c2 in d2.items()]
+    admissible = {}
+    get = out.get
     for k1, c1 in d1.items():
+        budget = (order - _sdeg(k1), eps_order - (k1 >> 16))
+        row = admissible.get(budget)
+        if row is None:
+            smax, emax = budget
+            row = admissible[budget] = [(k2, c2) for k2, c2, s, e in packed
+                                        if s <= smax and e <= emax]
         c1s = c1 * scale if scale != 1 else c1
-        for k2, c2 in d2.items():
-            k = k1 + k2
-            if _sdeg(k) > order or (k >> 16) > eps_order:
+        for k2, c2 in row:
+            c = c1s * c2
+            if c == 0:
                 continue
-            _acc(out, k, c1s * c2)
+            k = k1 + k2
+            cur = get(k)
+            if cur is None:
+                out[k] = c
+            else:
+                cur = cur + c
+                if cur == 0:
+                    del out[k]
+                else:
+                    out[k] = cur
 
 
 def _shift_eps(d, eps_order, out, scale=1):
@@ -194,16 +220,6 @@ class ResonanceReport:
     def removed(self):
         return [e for e in self.entries if e.disposition == "removed-into-T"]
 
-    def isochron_violations(self):
-        """Resonant slow-component entries of the graded sweep that carry
-        fast variables; these are normalisation bookkeeping, resolved in the
-        parameter-1 view (see ``unity_leftovers`` for genuine failures)."""
-        out = []
-        for e in self.kept():
-            if e.component in (1, 2) and (e.monomial[2] or e.monomial[3]):
-                out.append(e)
-        return out
-
     def sorted_entries(self):
         return sorted(self.entries,
                       key=lambda e: (sum(e.monomial), e.component, e.monomial))
@@ -234,9 +250,6 @@ class CoordinateTransform:
 
     def at_eps1(self):
         return self.unity
-
-    def component(self, name):
-        return self.series[("a", "b", "ap", "bp").index(name)]
 
 
 @dataclass
@@ -871,23 +884,30 @@ class CrossCheck:
         return self.identical
 
 
-def cross_validate_embeddings(order=3, eps_order=None, tolerance=1e-12):
+def cross_validate_embeddings(transform, evolution, tolerance=1e-12):
+    """Compare the caller's embedding-A construction with embedding B's.
+
+    B is built at A's ``order`` and ``eps_order``.  Both graded views are
+    resummed at parameter value 1 by ``TruncatedSeries.grading_at_one``:
+    each state monomial's coefficients are summed over the parameter powers
+    in stored term order, and sums that cancel to zero are dropped.  The
+    separated sectors of the resummed series are then compared
+    coefficientwise with each other and with A's parameter-1 construction.
+    """
     from .system import build_embedding
 
-    tA, gA, _ = construct(build_embedding("A"), order=order, eps_order=eps_order)
+    order, eps_order = transform.order, transform.eps_order
     tB, gB, _ = construct(build_embedding("B"), order=order, eps_order=eps_order)
     worst = 0.0
     gap = 0.0
-    for va, vb, vu in (
-        (tA.series.substitute({"eps": 1}), tB.series.substitute({"eps": 1}), tA.unity),
-        (gA.series.substitute({"eps": 1}), gB.series.substitute({"eps": 1}), gA.unity),
-    ):
-        for ca, cb, cu in zip(va, vb, vu):
+    for a, b in ((transform, tB), (evolution, gB)):
+        va = a.series.map(TruncatedSeries.grading_at_one)
+        vb = b.series.map(TruncatedSeries.grading_at_one)
+        for ca, cb, cu in zip(va, vb, a.unity):
             da, db = _separated_sector(ca), _separated_sector(cb)
             for key in set(da) | set(db):
                 worst = max(worst, abs(float(da.get(key, 0)) - float(db.get(key, 0))))
             for key in set(da) | {e for e in cu.terms if min(e[2], e[3]) == 0}:
                 gap = max(gap, abs(float(da.get(key, 0)) - float(cu.terms.get(key, 0))))
-    eo = DEFAULT_EPS_ORDER if eps_order is None else eps_order
     return CrossCheck(worst <= tolerance and gap <= tolerance,
-                      worst, gap, order, eo, tolerance)
+                      worst, gap, order, eps_order, tolerance)

@@ -311,6 +311,28 @@ class TruncatedSeries:
         out = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
         return TruncatedSeries._raw(self.space, out)
 
+    def grading_at_one(self):
+        """Set the grading variable to 1: each state monomial's coefficients
+        are summed over the grading powers in stored term order (which fixes
+        the rounding of float coefficients), and a sum that cancels to zero
+        is dropped.  The result keeps this space, grading exponent 0."""
+        gi = self.space.gidx
+        if gi is None:
+            raise SeriesError("space has no grading variable")
+        out = {}
+        for e, c in self.terms.items():
+            key = e[:gi] + (0,) + e[gi + 1:]
+            acc = out.get(key)
+            if acc is None:
+                out[key] = c
+            else:
+                acc = acc + c
+                if acc == 0:
+                    del out[key]
+                else:
+                    out[key] = acc
+        return TruncatedSeries._raw(self.space, out)
+
     def derivative(self, name):
         i = self.space.index(name)
         out = {}
@@ -323,36 +345,27 @@ class TruncatedSeries:
         return TruncatedSeries._raw(self.space, out)
 
     def substitute(self, bindings):
-        """Compose: replace variables with series, or the grading variable
-        with a rational constant.
+        """Compose: replace variables with series.
 
         Replacement series must share one target space and have zero constant
-        term, so the truncation-order bookkeeping stays valid; a constant is
-        only accepted for the grading parameter (collapsing its grading).
+        term, so the truncation-order bookkeeping stays valid.
         """
         target = None
-        for name, repl in bindings.items():
-            self.space.index(name)
-            if isinstance(repl, TruncatedSeries):
-                if target is None:
-                    target = repl.space
-                elif not target.same_vars(repl.space):
-                    raise SeriesError("replacement series live in different spaces")
-        if target is None:
-            target = self.space
         repls = {}
         for name, repl in bindings.items():
-            if isinstance(repl, TruncatedSeries):
-                if repl.constant_term() != 0:
-                    raise SeriesError(
-                        "replacement for %r has a nonzero constant term" % name)
-                repls[self.space.index(name)] = repl
-            else:
-                if name != self.space.grading:
-                    raise SeriesError(
-                        "constant substitution is only allowed for the grading "
-                        "parameter, not %r" % name)
-                repls[self.space.index(name)] = coerce_coeff(repl)
+            i = self.space.index(name)
+            if not isinstance(repl, TruncatedSeries):
+                raise SeriesError("replacement for %r is not a series" % name)
+            if target is None:
+                target = repl.space
+            elif not target.same_vars(repl.space):
+                raise SeriesError("replacement series live in different spaces")
+            if repl.constant_term() != 0:
+                raise SeriesError(
+                    "replacement for %r has a nonzero constant term" % name)
+            repls[i] = repl
+        if target is None:
+            target = self.space
         for i, name in enumerate(self.space.names):
             if i not in repls:
                 repls[i] = TruncatedSeries.variable(target, name)

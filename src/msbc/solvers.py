@@ -229,8 +229,7 @@ def _boundary_root(bc: RobinBC, t, c1, c2, dx, side, start):
     Returns the end value and its derivatives in ``c1`` and ``c2``, from the
     implicit derivative of the chosen root of the quadratic.
     """
-    P = bc.P_at(t)
-    R = bc.R_at(t)
+    P, R = bc.coefficients_at(t)
     Q = float(bc.Q)
     sgn = -1.0 if side == "left" else 1.0
     alpha = sgn * 3.0 / (2.0 * dx)          # d(Cx)/d(C0)

@@ -85,8 +85,9 @@ def test_criterion_2_evolution_and_bc_coefficients(constructed, derivation):
         "boundary conditions all reproduce the printed values")
 
 
-def test_criterion_3_embedding_cross_validation():
-    cc = normalform.cross_validate_embeddings(order=3)
+def test_criterion_3_embedding_cross_validation(constructed):
+    transform, evolution, _ = constructed
+    cc = normalform.cross_validate_embeddings(transform, evolution)
     assert cc.identical
     assert cc.max_discrepancy <= 1e-12
     _ok(3, "both embeddings give the same separated form at parameter 1 "

@@ -221,6 +221,28 @@ def test_compiled_closure_bit_identical_to_exact(derivation, side, linear):
             assert fast == float(exact) and repr(fast) == repr(float(exact)), pt
 
 
+def _counting_data(reads):
+    """A data pair that logs each read: a ramp on one stream, a slope on
+    the other."""
+    def slot(i, fn):
+        def read(t):
+            reads.append(i)
+            return fn(t)
+        return read
+    return slot(0, lambda t: 0.2 * tanhsq(t)), slot(1, lambda t: 0.05 * t)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_coefficients_at_reads_data_once(derivation, side):
+    reads = []
+    bc = dataclasses.replace(derivation["bc_" + side], data=_counting_data(reads))
+    for t in (0.0, 0.7, 3.0, 21.0):
+        reads.clear()
+        P, R = bc.coefficients_at(t)
+        assert reads == [0, 1]
+        assert repr(P) == repr(bc.P_at(t)) and repr(R) == repr(bc.R_at(t))
+
+
 def test_boundary_data_descriptions():
     fn = lambda t: 0.2 * math.tanh(t) ** 2
     fn.describe = "0.2*tanhsq"

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from msbc import cli
+from msbc import cli, normalform
 from msbc.series import Space, TruncatedSeries
 
 
@@ -106,6 +106,19 @@ def test_derive_is_deterministic(derive_out, tmp_path):
     assert cli.main(["derive", "--order", "3", "--out", str(out2)]) == 0
     for name in os.listdir(derive_out):
         assert read(derive_out / name) == read(out2 / name), name
+
+
+def test_derive_builds_each_embedding_once(tmp_path, monkeypatch):
+    real = normalform.construct
+    labels = []
+
+    def counted(system, *args, **kwargs):
+        labels.append(system.label)
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(normalform, "construct", counted)
+    assert cli.main(["derive", "--order", "3", "--out", str(tmp_path / "o")]) == 0
+    assert sorted(labels) == ["embedding-A", "embedding-B"]
 
 
 def test_derive_rejects_low_order(tmp_path):

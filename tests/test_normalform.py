@@ -7,6 +7,7 @@ to 0.55 of the last printed unit (the source figures use round-half-away and
 occasionally double rounding, e.g. -2.25 printed as -2.3).
 """
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -296,14 +297,18 @@ def test_resonance_report_bookkeeping(constructed):
     assert "kept-in-G" in text and "removed-into-T" in text
 
 
-def test_cross_validation_identity_and_orders():
-    lower = normalform.cross_validate_embeddings(order=2)
+def test_cross_validation_identity_and_orders(constructed):
+    tA2, gA2, _ = normalform.construct(system.build_embedding("A"), order=2)
+    lower = normalform.cross_validate_embeddings(tA2, gA2)
     assert lower.identical
     assert lower.max_discrepancy <= 1e-12
-    cc = normalform.cross_validate_embeddings(order=3)
+    assert (lower.order, lower.eps_order) == (2, normalform.DEFAULT_EPS_ORDER)
+    transform, evolution, _ = constructed
+    cc = normalform.cross_validate_embeddings(transform, evolution)
     assert cc.identical
     assert cc.max_discrepancy <= 1e-12
     assert cc.resummation_gap == 0.0
+    assert (cc.order, cc.eps_order) == (3, normalform.DEFAULT_EPS_ORDER)
 
 
 def test_variant_against_itself_trivially_identical():
@@ -331,3 +336,88 @@ def test_higher_order_surfaces_unremovable_cross_terms():
         assert unity[comp - 1].coefficient(mono) == value
     assert all(e[2] >= 1 for e in unity[2].terms)
     assert all(e[3] >= 1 for e in unity[3].terms)
+
+
+def _mul_slice_nested(d1, d2, order, eps_order, out, scale=1):
+    """Reference for ``normalform._mul_slice``: the nested loop over every
+    pair, testing each product against the caps."""
+    if not d1 or not d2:
+        return
+    if len(d1) > len(d2):
+        d1, d2 = d2, d1
+    for k1, c1 in d1.items():
+        c1s = c1 * scale if scale != 1 else c1
+        for k2, c2 in d2.items():
+            k = k1 + k2
+            sdeg = (k & 15) + ((k >> 4) & 15) + ((k >> 8) & 15) + ((k >> 12) & 15)
+            if sdeg > order or (k >> 16) > eps_order:
+                continue
+            c = c1s * c2
+            if c == 0:
+                continue
+            cur = out.get(k)
+            if cur is None:
+                out[k] = c
+            elif cur + c == 0:
+                del out[k]
+            else:
+                out[k] = cur + c
+
+
+def _same_slices(fast, ref):
+    # equal keys in equal insertion order, and bit-identical coefficients
+    assert list(fast.items()) == list(ref.items())
+    assert [repr(c) for c in fast.values()] == [repr(c) for c in ref.values()]
+
+
+def test_mul_slice_matches_nested_loop_on_construction_slices(monkeypatch):
+    # every product of embedding B's float construction (and of its exact
+    # parameter-1 construction) is run through both routines and compared
+    fast = normalform._mul_slice
+    pairs = []
+
+    def checked(d1, d2, order, eps_order, out, scale=1):
+        ref = dict(out)
+        _mul_slice_nested(d1, d2, order, eps_order, ref, scale)
+        fast(d1, d2, order, eps_order, out, scale)
+        _same_slices(out, ref)
+        pairs.append(len(d1) * len(d2))
+
+    monkeypatch.setattr(normalform, "_mul_slice", checked)
+    normalform.construct(system.build_embedding("B"), order=3, eps_order=8)
+    assert len(pairs) > 500 and max(pairs) > 100
+
+
+def _random_slice(rng, order, eps_top, size, exact=True):
+    out = {}
+    for _ in range(size):
+        e = []
+        budget = rng.randrange(order + 1)
+        for _ in range(4):
+            e.append(rng.randrange(budget + 1))
+            budget -= e[-1]
+        rng.shuffle(e)
+        key = normalform._encode(tuple(e) + (rng.randrange(eps_top + 1),))
+        if exact:
+            out[key] = F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+        else:
+            out[key] = rng.uniform(-1.0, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_mul_slice_matches_nested_loop_on_random_slices(exact):
+    # exact slices cancel often (deletion and re-insertion order); float
+    # slices with an inexact scale pin the (c1·scale)·c2 rounding
+    rng = random.Random(11)
+    for _ in range(300):
+        order = rng.randrange(2, 8)
+        eps_order = rng.randrange(0, 6)
+        d1 = _random_slice(rng, order, eps_order + 2, rng.randrange(0, 12), exact)
+        d2 = _random_slice(rng, order, eps_order + 2, rng.randrange(0, 12), exact)
+        out = _random_slice(rng, order, eps_order, rng.randrange(0, 8), exact)
+        scale = rng.choice((1, -1, F(3, 2) if exact else 1.1))
+        ref = dict(out)
+        _mul_slice_nested(d1, d2, order, eps_order, ref, scale)
+        normalform._mul_slice(d1, d2, order, eps_order, out, scale)
+        _same_slices(out, ref)

@@ -135,13 +135,38 @@ def test_substitute_identity_bindings():
     assert out == p
 
 
-def test_substitute_parameter_collapse():
+def test_grading_at_one_parameter_collapse():
     s1 = TruncatedSeries.variable(NF, "s1")
     p = s1 + TruncatedSeries.variable(NF, "eps") * TruncatedSeries.variable(NF, "s2")
-    out = p.substitute({"eps": 1})
+    out = p.grading_at_one()
     assert out.coefficient((1, 0, 0, 0, 0)) == 1
     assert out.coefficient((0, 1, 0, 0, 0)) == 1
     assert len(out.terms) == 2
+
+
+def test_grading_at_one_sums_per_state_monomial_and_drops_zeros():
+    p = TruncatedSeries(NF, {(1, 0, 0, 0, 0): F(1, 2), (1, 0, 0, 0, 2): F(1, 3),
+                             (0, 1, 0, 0, 1): F(2), (0, 1, 0, 0, 3): F(-2),
+                             (0, 0, 1, 0, 1): F(5)})
+    out = p.grading_at_one()
+    assert list(out.terms.items()) == [((1, 0, 0, 0, 0), F(5, 6)),
+                                       ((0, 0, 1, 0, 0), F(5))]
+    assert out.space == NF
+    with pytest.raises(SeriesError):
+        rand_series(random.Random(1)).grading_at_one()  # no grading variable
+
+
+def test_grading_at_one_adds_floats_in_stored_term_order():
+    def resum(coefs):
+        terms = {(1, 0, 0, 0, k): c for k, c in coefs}
+        return TruncatedSeries(NF, terms).grading_at_one().terms
+    # 1e16 + 1.0 rounds back to 1e16, so the order decides the result
+    assert resum([(0, 1e16), (1, 1.0), (2, -1e16)]) == {}
+    assert resum([(0, 1e16), (2, -1e16), (1, 1.0)]) == {(1, 0, 0, 0, 0): 1.0}
+    # stored order, not grading-power order
+    assert repr(resum([(0, 0.1), (1, 0.2), (2, 0.3)])[(1, 0, 0, 0, 0)]) \
+        == "0.6000000000000001"
+    assert repr(resum([(2, 0.3), (1, 0.2), (0, 0.1)])[(1, 0, 0, 0, 0)]) == "0.6"
 
 
 def test_substitute_rejects_nonzero_constant_replacement():
@@ -150,7 +175,7 @@ def test_substitute_rejects_nonzero_constant_replacement():
     with pytest.raises(SeriesError):
         p.substitute({"x": bad})
     with pytest.raises(SeriesError):
-        p.substitute({"x": F(1, 2)})  # constants only for the grading variable
+        p.substitute({"x": F(1, 2)})  # replacements must be series
 
 
 def test_composition_associativity_by_evaluation():

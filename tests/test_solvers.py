@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -248,6 +249,23 @@ def test_macro_robin_jacobian_at_vertex_fallback(derivation):
     cx = (-3.0 * c0 + 4.0 * y[0] - y[1]) / (2.0 * dx)
     assert abs(bc.residual(c0, cx, t)) > 1e-3   # the vertex, not a root
     _assert_jacobian_matches(jac(t, y), rhs, t, y)
+
+
+def test_macro_robin_closure_reads_each_data_pair_once(derivation):
+    reads = []
+
+    def logged(fn, tag):
+        def read(t):
+            reads.append(tag)
+            return fn(t)
+        return read
+
+    bcs = [dataclasses.replace(bc, data=tuple(logged(f, (bc.side, i))
+                                              for i, f in enumerate(bc.data)))
+           for bc in (derivation["bc_left"], derivation["bc_right"])]
+    _, (rhs, _, _, _) = _macro("robin-derived", bcs)
+    rhs(2.0, _profile(31, 7))
+    assert reads == [("left", 0), ("left", 1), ("right", 0), ("right", 1)]
 
 
 def test_macro_linearised_robin_jacobian(derivation):
