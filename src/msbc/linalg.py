@@ -1,11 +1,14 @@
 """Exact dense linear algebra for the small matrices of the spatial systems.
 
-Everything here works over :class:`fractions.Fraction`.  Eigenvalues are
-found by factoring the characteristic polynomial exactly: rational roots via
-the rational-root theorem with deflation, and a leftover quadratic factor is
-surfaced as an irrational pair (returned as floats).  The float fallback is
-what generic matrices get; the derivation keeps exact arithmetic wherever the
-spectrum is rational.
+Everything here works over :class:`fractions.Fraction`.  One elimination,
+``row_reduce`` (exact reduced row echelon form, first nonzero pivot), serves
+every solve in the package: ``Matrix.inverse``, ``nullspace``, ``solve`` (one
+particular solution with free unknowns 0) and the generalised directions of
+``eigen``.  Eigenvalues are found by factoring the characteristic polynomial
+exactly: rational roots via the rational-root theorem with deflation, and a
+leftover quadratic factor is surfaced as an irrational pair (returned as
+floats, with eigenvectors from an SVD).  The derivation keeps exact
+arithmetic wherever the spectrum is rational.
 """
 
 from __future__ import annotations
@@ -89,41 +92,12 @@ class Matrix:
         if self.n != self.m:
             raise LinalgError("not square")
         n = self.n
-        aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise LinalgError("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = Fraction(1) / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return Matrix([row[n:] for row in aug])
-
-    def det(self):
-        if self.n != self.m:
-            raise LinalgError("not square")
-        a = [list(row) for row in self.rows]
-        n = self.n
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = Fraction(1) / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    f = a[r][col] * inv
-                    a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-        return det
+        a, pivots = row_reduce(
+            [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+             for i, row in enumerate(self.rows)], n)
+        if len(pivots) < n:
+            raise LinalgError("singular matrix")
+        return Matrix([row[n:] for row in a])
 
     def charpoly(self):
         """Monic characteristic polynomial coefficients [1, c1, ..., cn]
@@ -148,31 +122,54 @@ class Matrix:
             ", ".join(str(v) for v in row) for row in self.rows)
 
 
-def nullspace(mat):
-    """Exact basis of the kernel, via reduced row echelon form."""
-    a = [list(row) for row in mat.rows]
-    n, m = mat.n, mat.m
+def row_reduce(rows, ncols):
+    """Reduced row echelon form of exact ``rows``, pivoting in the first
+    ``ncols`` columns only; the columns after them are carried along.
+
+    Each column takes the first nonzero entry at or below the current row as
+    its pivot.  Returns the reduced rows and the pivot columns.
+    """
+    a = [list(row) for row in rows]
     pivots = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(a):
+            break
+        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
         inv = Fraction(1) / a[row][col]
         a[row] = [v * inv for v in a[row]]
-        for r in range(n):
+        for r in range(len(a)):
             if r != row and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[row])]
         pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
+    return a, pivots
+
+
+def solve(rows, rhs, nunk):
+    """One exact solution of rows·x = rhs in ``nunk`` unknowns.
+
+    Unknowns that no pivot pins are 0.  Returns ``(x, consistent)``; when
+    the system is inconsistent, x leaves the contradicting rows unsatisfied.
+    """
+    a, pivots = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)], nunk)
+    x = [Fraction(0)] * nunk
+    for r, col in enumerate(pivots):
+        x[col] = a[r][nunk]
+    return x, all(row[nunk] == 0 for row in a[len(pivots):])
+
+
+def nullspace(mat):
+    """Exact basis of the kernel, via reduced row echelon form."""
+    a, pivots = row_reduce(mat.rows, mat.m)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * m
+    for fc in range(mat.m):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * mat.m
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -a[r][fc]
@@ -251,18 +248,34 @@ class Eigen:
     rational eigenvalues stay exact, an irrational pair from a leftover
     quadratic factor comes back as floats.  ``vectors[i]`` lists a basis of
     the corresponding eigenspace (exact for rational eigenvalues).
+
+    ``eigenvalues`` and ``eigenvectors`` are the flat lists, one entry per
+    algebraic multiplicity.  For a defective eigenvalue the vector list
+    repeats the available eigenvectors, so every (value, vector) pair
+    satisfies A v = lambda v; ``generalized`` holds one Jordan chain step
+    (lambda, w) with (A - lambda) w = v for the first eigenvector v.
     """
 
-    def __init__(self, values, vectors, diagonalizable):
+    def __init__(self, values, vectors, diagonalizable, generalized):
         self.values = values
         self.vectors = vectors
         self.diagonalizable = diagonalizable
+        self.generalized = generalized
+        self.eigenvalues, self.eigenvectors = [], []
+        for (lam, mult), basis in zip(values, vectors):
+            for k in range(mult):
+                self.eigenvalues.append(lam)
+                self.eigenvectors.append(basis[min(k, len(basis) - 1)])
 
-    def flat_values(self):
+    def residuals(self, mat):
+        """max |A v - lambda v| for each flat (value, vector) pair."""
         out = []
-        for lam, mult in self.values:
-            out.extend([lam] * mult)
-        return sorted(out, key=float)
+        A = mat.to_float()
+        for lam, vec in zip(self.eigenvalues, self.eigenvectors):
+            v = [float(x) for x in vec]
+            Av = A.dot(v)
+            out.append(max(abs(Av[i] - float(lam) * v[i]) for i in range(len(v))))
+        return out
 
 
 def eigen(mat):
@@ -287,11 +300,17 @@ def eigen(mat):
             values.append((lam, 1))
         values.sort(key=lambda p: float(p[0]))
     vectors = []
+    generalized = []
     geo = 0
     for lam, mult in values:
         if isinstance(lam, Fraction):
             shifted = mat - Matrix.identity(mat.n).scaled(lam)
             basis = nullspace(shifted)
+            if len(basis) < mult:
+                # one Jordan chain step is enough for this family
+                w, consistent = solve(shifted.rows, basis[0], mat.n)
+                if consistent:
+                    generalized.append((lam, w))
         else:
             A = mat.to_float() - lam * np.eye(mat.n)
             _, s, vt = np.linalg.svd(A)
@@ -302,4 +321,4 @@ def eigen(mat):
             basis = [list(map(float, v)) for v in basis]
         vectors.append(basis)
         geo += len(basis)
-    return Eigen(values, vectors, diagonalizable=(geo == mat.n))
+    return Eigen(values, vectors, geo == mat.n, generalized)

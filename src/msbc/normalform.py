@@ -27,6 +27,15 @@ its own variable (beyond cubic order a few resonant obstructions are genuine;
 they are kept and surfaced, never dropped).  On the separated sector the
 graded view resums exactly onto this object; the boundary-condition
 derivation consumes the parameter-1 view.
+
+Both views run on one construction kernel.  ``_homological_residual``
+assembles each degree's residual from the slices below it (the parameter
+shift only in the graded view), ``_pin_slow`` holds the slow-manifold
+parametrisation, ``_lift`` maps solved coefficients back to the state and
+``_assemble`` turns the slices into series.  The parameter-1 view takes its
+kernel, Jordan step and fast eigenvectors from one ``linalg.eigen`` call on
+the collapsed matrix, and solves its coupled kernel slots with
+``linalg.solve``.
 """
 
 from __future__ import annotations
@@ -156,40 +165,75 @@ def _deriv_slice(d, j):
     return out
 
 
-def _solve_preferring_zero(rows, rhs, nunk, exact):
-    """Solve a small linear system; unknowns not pinned by a pivot stay zero.
+def _linear_slices(t1, lam):
+    """Degree-1 slices of T (the aligned columns) and of G (the rates)."""
+    units = [1 << _SHIFTS[j] for j in range(4)]
+    T1 = [{units[j]: t1[i][j] for j in range(4) if t1[i][j] != 0} for i in range(4)]
+    G1 = [({units[i]: lam[i]} if lam[i] != 0 else {}) for i in range(4)]
+    return T1, G1
 
-    Deterministic pivot order; rows that turn out inconsistent are left
-    unsatisfied (the caller keeps their residual and flags it).
+
+def _homological_residual(T, G, quad, N, d, order, eps_order):
+    """Degree-d part of F(T) - DT·G from the slices below degree d.
+
+    Per state component: the quadratic products, then the parameter shift
+    of T[d-1] by the matrix ``N`` (when given), then the -DT·G terms.
     """
-    m = len(rows)
-    aug = [list(rows[r]) + [rhs[r]] for r in range(m)]
-    tol = 0 if exact else 1e-13
-
-    def nonzero(v):
-        return v != 0 if exact else abs(v) > tol
-
-    pivots = []
-    rr = 0
-    for col in range(nunk):
-        piv = next((r for r in range(rr, m) if nonzero(aug[r][col])), None)
-        if piv is None:
+    R = [{} for _ in range(4)]
+    for c in range(4):
+        for (i, j, coef) in quad[c]:
+            for e in range(1, d):
+                Ti, Tj = T.get(e), T.get(d - e)
+                if Ti and Tj:
+                    _mul_slice(Ti[i], Tj[j], order, eps_order, R[c], coef)
+    prev = T.get(d - 1) if N is not None else None
+    if prev:
+        for c in range(4):
+            for k in range(4):
+                if N[c][k] != 0 and prev[k]:
+                    _shift_eps(prev[k], eps_order, R[c], N[c][k])
+    for e in range(2, d):
+        Te, Gk = T.get(e), G.get(d + 1 - e)
+        if not Te or not Gk:
             continue
-        aug[rr], aug[piv] = aug[piv], aug[rr]
-        inv = (Fraction(1) / aug[rr][col]) if exact else 1.0 / aug[rr][col]
-        aug[rr] = [v * inv for v in aug[rr]]
-        for r in range(m):
-            if r != rr and nonzero(aug[r][col]):
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[rr])]
-        pivots.append(col)
-        rr += 1
-        if rr == m:
-            break
-    x = [Fraction(0) if exact else 0.0] * nunk
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][nunk]
-    return x
+        for c in range(4):
+            for j in range(4):
+                if Gk[j]:
+                    dTe = _deriv_slice(Te[c], j)
+                    if dTe:
+                        _mul_slice(dTe, Gk[j], order, eps_order, R[c], -1)
+    return R
+
+
+def _pin_slow(psi, key, alpha, beta):
+    """Keep the slow-manifold parametrisation exactly mean/gradient: set the
+    slow components of ``psi`` at a slow ``key`` against its fast content."""
+    p2, p3 = psi[2].get(key, 0), psi[3].get(key, 0)
+    for i, w in ((0, alpha), (1, beta)):
+        v = -(w[2] * p2 + w[3] * p3) / 2
+        if v != 0:
+            psi[i][key] = v
+
+
+def _lift(t1, psi, Td):
+    """Accumulate the state-space image t1·psi into the slices ``Td``."""
+    for i in range(4):
+        for j in range(4):
+            if t1[i][j] != 0 and psi[j]:
+                for key, c in psi[j].items():
+                    _acc(Td[i], key, t1[i][j] * c)
+    return Td
+
+
+def _assemble(slices, space, decode):
+    comps = []
+    for c in range(4):
+        terms = {}
+        for slc in slices.values():
+            for key, coef in slc[c].items():
+                terms[decode(key)] = coef
+        comps.append(TruncatedSeries(space, terms))
+    return SeriesVector(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +354,19 @@ def _aligned_eigenbasis(system: SpatialSystem, cmap):
         g1 = (a22 * rhs[0] - a12 * rhs[1]) / det
         g2 = (-a21 * rhs[0] + a11 * rhs[1]) / det
         cols.append([g1 * kernel[0][i] + g2 * kernel[1][i] for i in range(4)])
-    # fast columns, normalised against map rows 3 and 4
-    for lam, row in ((fast[0], rows[2]), (fast[1], rows[3])):
-        mult, basis = by_val[lam]
-        if mult != 1 or len(basis) != 1:
-            raise ConstructionRefused("fast eigenspaces must be simple")
-        v = basis[0] if exact else [float(x) for x in basis[0]]
-        scale = dot(row, v)
-        if scale == 0:
-            raise ConstructionRefused("fast eigenvector orthogonal to its map row")
-        cols.append([x / scale for x in v])
+    cols.append(_fast_column(by_val[fast[0]][1], rows[2]))
+    cols.append(_fast_column(by_val[fast[1]][1], rows[3]))
     return cols, mu, exact
+
+
+def _fast_column(basis, row):
+    """The simple fast eigenvector, normalised against its map row (3 or 4)."""
+    if len(basis) != 1:
+        raise ConstructionRefused("fast eigenspaces must be simple")
+    scale = sum(r * v for r, v in zip(row, basis[0]))
+    if scale == 0:
+        raise ConstructionRefused("fast eigenvector orthogonal to its map row")
+    return [x / scale for x in basis[0]]
 
 
 def _perturbation_shape(system, one):
@@ -374,10 +420,8 @@ def construct(system: SpatialSystem, cmap=None, order=3, eps_order=None):
     quad, N, _ = _perturbation_shape(system, one)
     lam = [n * mu for n in _EIGEN_PATTERN]
 
-    unit_keys = [_encode(tuple(1 if k == j else 0 for k in range(5))) for j in range(5)]
-    T = {1: [{unit_keys[j]: t1[i][j] for j in range(4) if t1[i][j] != 0}
-             for i in range(4)]}
-    G = {1: [({unit_keys[i]: lam[i]} if lam[i] != 0 else {}) for i in range(4)]}
+    T1, G1 = _linear_slices(t1, lam)
+    T, G = {1: T1}, {1: G1}
 
     report = ResonanceReport()
     max_total = order + eps_order
@@ -385,34 +429,7 @@ def construct(system: SpatialSystem, cmap=None, order=3, eps_order=None):
 
     d = 2
     while d <= max_total and d <= 2 * top + 1:
-        R = [{} for _ in range(4)]
-        for c in range(4):
-            for (i, j, coef) in quad[c]:
-                for e in range(1, d):
-                    Ti = T.get(e)
-                    Tj = T.get(d - e)
-                    if Ti and Tj:
-                        _mul_slice(Ti[i], Tj[j], order, eps_order, R[c], coef)
-        prev = T.get(d - 1)
-        if prev:
-            for c in range(4):
-                for k in range(4):
-                    if N[c][k] != 0 and prev[k]:
-                        _shift_eps(prev[k], eps_order, R[c], N[c][k])
-        for e in range(2, d):
-            k = d + 1 - e
-            if k < 2:
-                continue
-            Te, Gk = T.get(e), G.get(k)
-            if not Te or not Gk:
-                continue
-            for c in range(4):
-                for j in range(4):
-                    if Gk[j]:
-                        dTe = _deriv_slice(Te[c], j)
-                        if dTe:
-                            _mul_slice(dTe, Gk[j], order, eps_order, R[c], -1)
-
+        R = _homological_residual(T, G, quad, N, d, order, eps_order)
         keys = set()
         for c in range(4):
             keys.update(R[c])
@@ -438,15 +455,7 @@ def construct(system: SpatialSystem, cmap=None, order=3, eps_order=None):
                         report.entries.append(ResonanceEntry(
                             i + 1, mono, kint * mu, "removed-into-T"))
                 if m3 == 0 and m4 == 0:
-                    # keep the slow-manifold parametrisation exactly mean/gradient
-                    p2 = psi[2].get(key, 0)
-                    p3 = psi[3].get(key, 0)
-                    v = -(alpha[2] * p2 + alpha[3] * p3) / 2
-                    if v != 0:
-                        psi[0][key] = v
-                    v = -(beta[2] * p2 + beta[3] * p3) / 2
-                    if v != 0:
-                        psi[1][key] = v
+                    _pin_slow(psi, key, alpha, beta)
                 elif m3 - m4 == 1:
                     # resonant dressing of the stable direction: hold the
                     # map-row-3 content of the transform at exactly s3
@@ -457,12 +466,7 @@ def construct(system: SpatialSystem, cmap=None, order=3, eps_order=None):
                     v = -sum(row4[j] * psi[j].get(key, 0) for j in (0, 1, 2))
                     if v != 0:
                         psi[3][key] = v
-            Td = [{} for _ in range(4)]
-            for i in range(4):
-                for j in range(4):
-                    if t1[i][j] != 0 and psi[j]:
-                        for key, c in psi[j].items():
-                            _acc(Td[i], key, t1[i][j] * c)
+            Td = _lift(t1, psi, [{} for _ in range(4)])
             if any(Td):
                 T[d] = Td
                 top = max(top, d)
@@ -472,19 +476,8 @@ def construct(system: SpatialSystem, cmap=None, order=3, eps_order=None):
         d += 1
 
     space = nf_space(order, eps_order)
-
-    def assemble(slices, decode):
-        comps = []
-        for c in range(4):
-            terms = {}
-            for dd, slc in slices.items():
-                for key, coef in slc[c].items():
-                    terms[decode(key)] = coef
-            comps.append(TruncatedSeries(space, terms))
-        return SeriesVector(comps)
-
-    transform = CoordinateTransform(assemble(T, _decode5), t1, order, eps_order)
-    evolution = NormalFormEvolution(assemble(G, _decode5), order, eps_order)
+    transform = CoordinateTransform(_assemble(T, space, _decode5), t1, order, eps_order)
+    evolution = NormalFormEvolution(_assemble(G, space, _decode5), order, eps_order)
 
     reduced = system.reduced_at_eps1()
     Tu, Gu, leftovers, retained = _construct_at_unity(reduced, cmap, order)
@@ -510,15 +503,15 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
     """
     A = reduced.linear
     eig = linalg.eigen(A)
-    vals = [v for v, mult in eig.values for _ in range(mult)]
-    if sorted(map(float, vals)) != sorted(map(float, (0, 0, Fraction(-2, 3), Fraction(2, 3)))):
-        raise ConstructionRefused("collapsed spectrum outside the handled family")
     mu = Fraction(2, 3)
+    if eig.eigenvalues != [-mu, 0, 0, mu]:
+        raise ConstructionRefused("collapsed spectrum outside the handled family")
+    by_val = dict(zip((lam for lam, _ in eig.values), eig.vectors))
 
     def dot(row, vec):
         return sum(r * v for r, v in zip(row, vec))
 
-    kernel = linalg.nullspace(A)
+    kernel = by_val[0]
     if len(kernel) != 1:
         raise ConstructionRefused("collapsed zero eigenspace must be a single line")
     c1 = kernel[0]
@@ -526,10 +519,11 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
     if s == 0:
         raise ConstructionRefused("slow eigenvector orthogonal to the mean row")
     c1 = [x / s for x in c1]
-    from .system import _solve_affine
-    c2 = _solve_affine(A, c1)
+    # the Jordan step solves A·w = kernel[0], so w/s solves A·c2 = c1
+    c2 = dict(eig.generalized).get(0)
     if c2 is None:
         raise ConstructionRefused("no generalised slow direction")
+    c2 = [x / s for x in c2]
     # normalise the generalised column against map rows 1 and 2
     #   c2 -> c2 + t*c1 with row1·c2 = 0, then scale pair so row2·c2 = 1
     t = -dot(cmap.row(0), c2) / dot(cmap.row(0), c1)
@@ -542,21 +536,14 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
     s1 = dot(cmap.row(0), c1)
     c1 = [x / s1 for x in c1]
     c2 = [x / s1 for x in c2]
-    cols = [c1, c2]
-    for lamv, row in ((-mu, cmap.row(2)), (mu, cmap.row(3))):
-        basis = linalg.nullspace(A - linalg.Matrix.identity(4).scaled(lamv))
-        if len(basis) != 1:
-            raise ConstructionRefused("fast eigenspaces must be simple")
-        v = basis[0]
-        sc = dot(row, v)
-        if sc == 0:
-            raise ConstructionRefused("fast eigenvector orthogonal to its map row")
-        cols.append([x / sc for x in v])
+    cols = [c1, c2, _fast_column(by_val[-mu], cmap.row(2)),
+            _fast_column(by_val[mu], cmap.row(3))]
     t1 = [[cols[j][i] for j in range(4)] for i in range(4)]
     t1m = linalg.Matrix(t1)
-    t1inv = t1m.inverse().rows
+    t1inv_m = t1m.inverse()
+    t1inv = t1inv_m.rows
     # A in this basis: diag(0,0,-mu,mu) plus the (1,2) nilpotent entry
-    nil = (t1m.inverse() * A * t1m).rows
+    nil = (t1inv_m * A * t1m).rows
     expected = [[0, nil[0][1], 0, 0], [0, 0, 0, 0], [0, 0, -mu, 0], [0, 0, 0, mu]]
     if nil != expected or nil[0][1] == 0:
         raise ConstructionRefused("collapsed linear part is not in Jordan-aligned form")
@@ -568,15 +555,9 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
     if has_eps:
         raise ConstructionRefused("collapsed system still carries the parameter")
 
-    lamdiag = [n * mu for n in _EIGEN_PATTERN]
-    unit_keys = [_encode(tuple(1 if k == j else 0 for k in range(4))) for j in range(4)]
-    T = {1: [{unit_keys[j]: t1[i][j] for j in range(4) if t1[i][j] != 0}
-             for i in range(4)]}
-    G = {1: [dict() for _ in range(4)]}
-    for i in range(4):
-        if lamdiag[i] != 0:
-            G[1][i][unit_keys[i]] = lamdiag[i]
-    G[1][0][unit_keys[1]] = h  # d s1/dx = s2 at linear order
+    T1, G1 = _linear_slices(t1, [n * mu for n in _EIGEN_PATTERN])
+    G1[0][1 << _SHIFTS[1]] = h  # d s1/dx = s2 at linear order
+    T, G = {1: T1}, {1: G1}
 
     def resonance_class(i, m3, m4):
         if (m4 - m3) != _EIGEN_PATTERN[i]:
@@ -604,6 +585,17 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
         slots.sort()
         return slots
 
+    def in_normal_coords(R):
+        """Rows of t1inv·R, one per monomial key."""
+        rows = {}
+        for c in range(4):
+            for key, v in R[c].items():
+                row = rows.setdefault(key, [Fraction(0)] * 4)
+                for i in range(4):
+                    if t1inv[i][c] != 0:
+                        row[i] = row[i] + t1inv[i][c] * v
+        return rows
+
     def knob_influence(j, key):
         phi = [{key: t1[c][j]} if t1[c][j] != 0 else {} for c in range(4)]
         out = [{} for _ in range(4)]
@@ -618,50 +610,27 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
                         dphi = _deriv_slice(phi[c], jv)
                         if dphi:
                             _mul_slice(dphi, G2[jv], order, 0, out[c], -1)
-        dr = {}
-        for c in range(4):
-            for k2, v in out[c].items():
-                row = dr.setdefault(k2, [Fraction(0)] * 4)
-                for i in range(4):
-                    if t1inv[i][c] != 0:
-                        row[i] = row[i] + t1inv[i][c] * v
-        return dr
+        return in_normal_coords(out)
 
     leftovers = []
     retained = []
     pending = []
     for d in range(2, order + 1):
-        R = [{} for _ in range(4)]
-        for c in range(4):
-            for (i, j, coef) in quad[c]:
-                for e in range(1, d):
-                    Ti, Tj = T.get(e), T.get(d - e)
-                    if Ti and Tj:
-                        _mul_slice(Ti[i], Tj[j], order, 0, R[c], coef)
-        for e in range(2, d):
-            k = d + 1 - e
-            if k < 2:
-                continue
-            Te, Gk = T.get(e), G.get(k)
-            if not Te or not Gk:
-                continue
-            for c in range(4):
-                for j in range(4):
-                    if Gk[j]:
-                        dTe = _deriv_slice(Te[c], j)
-                        if dTe:
-                            _mul_slice(dTe, Gk[j], order, 0, R[c], -1)
-        rvec = {}
-        for c in range(4):
-            for key, v in R[c].items():
-                row = rvec.setdefault(key, [Fraction(0)] * 4)
-                for i in range(4):
-                    if t1inv[i][c] != 0:
-                        row[i] = row[i] + t1inv[i][c] * v
+        rvec = in_normal_coords(_homological_residual(T, G, quad, None, d, order, 0))
 
         def rget(i, key):
             row = rvec.get(key)
             return row[i] if row else Fraction(0)
+
+        def net_residual(i, key):
+            # the residual less the ladder and mixing entries already fixed
+            # at this degree
+            r = rget(i, key)
+            if (key >> 4) & 15:
+                r -= h * ((key & 15) + 1) * psi[i].get(key + 1 - 16, Fraction(0))
+            if i == 0:
+                r += h * psi[1].get(key, Fraction(0))
+            return r
 
         # stage A: zero every resonant residual outside the separated form,
         # using same-degree cross transform terms (nilpotent couplings) and
@@ -698,7 +667,8 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
                     row.append(coef)
                 rows.append(row)
                 rhs.append(rget(i, key))
-            x = _solve_preferring_zero(rows, rhs, len(unknowns), True)
+            # inconsistent rows stay unsatisfied; stage B keeps their residual
+            x, _ = linalg.solve(rows, rhs, len(unknowns))
             for (kind, uj, ukey), xv in zip(unknowns, x):
                 if xv == 0:
                     continue
@@ -729,17 +699,10 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
         order_keys = sorted(touched, key=lambda k: ((k >> 4) & 15, k))
         g = [{} for _ in range(4)]
         for key in order_keys:
-            m1, m2 = key & 15, (key >> 4) & 15
             m3, m4 = (key >> 8) & 15, (key >> 12) & 15
             for i in (1, 0, 2, 3):
                 cls = resonance_class(i, m3, m4)
-                r = rget(i, key)
-                # ladder and mixing entries already fixed at this degree
-                if m2 >= 1:
-                    up = key + 1 - 16
-                    r -= h * (m1 + 1) * psi[i].get(up, Fraction(0))
-                if i == 0:
-                    r += h * psi[1].get(key, Fraction(0))
+                r = net_residual(i, key)
                 if cls == -1:
                     div = ((m4 - m3) - _EIGEN_PATTERN[i]) * mu
                     if r != 0:
@@ -761,35 +724,16 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
                         else:
                             retained.append((i + 1, _decode4(key), r))
             if m3 == 0 and m4 == 0:
-                p2 = psi[2].get(key, Fraction(0))
-                p3 = psi[3].get(key, Fraction(0))
-                v = -(alpha[2] * p2 + alpha[3] * p3) / 2
-                if v != 0:
-                    psi[0][key] = v
-                v = -(beta[2] * p2 + beta[3] * p3) / 2
-                if v != 0:
-                    psi[1][key] = v
+                _pin_slow(psi, key, alpha, beta)
         # slow-component resonant content, after pinning corrections
         for key in order_keys:
-            m1, m2 = key & 15, (key >> 4) & 15
-            m3, m4 = (key >> 8) & 15, (key >> 12) & 15
-            if m3 or m4:
+            if (key >> 8) & 15 or (key >> 12) & 15:
                 continue
             for i in (1, 0):
-                r = rget(i, key)
-                if m2 >= 1:
-                    up = key + 1 - 16
-                    r -= h * (m1 + 1) * psi[i].get(up, Fraction(0))
-                if i == 0:
-                    r += h * psi[1].get(key, Fraction(0))
+                r = net_residual(i, key)
                 if r != 0:
                     g[i][key] = r
-        Td = T.get(d, [{} for _ in range(4)])
-        for i in range(4):
-            for j in range(4):
-                if t1[i][j] != 0 and psi[j]:
-                    for key, c in psi[j].items():
-                        _acc(Td[i], key, t1[i][j] * c)
+        Td = _lift(t1, psi, T.get(d, [{} for _ in range(4)]))
         if any(Td):
             T[d] = Td
         if any(g):
@@ -800,18 +744,8 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
                    if key not in psi[i] and (key & 15) == 0 and i != 1]
 
     space = unity_space(order)
-
-    def assemble(slices):
-        comps = []
-        for c in range(4):
-            terms = {}
-            for dd, slc in slices.items():
-                for key, coef in slc[c].items():
-                    terms[_decode4(key)] = coef
-            comps.append(TruncatedSeries(space, terms))
-        return SeriesVector(comps)
-
-    return assemble(T), assemble(G), leftovers, retained
+    return (_assemble(T, space, _decode4), _assemble(G, space, _decode4),
+            leftovers, retained)
 
 
 def _state_bindings(system, Tvec):

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from .linalg import LinalgError, Matrix
+
 
 class SeriesError(ValueError):
     """Structural misuse of a series operation (mismatched variables, ...)."""
@@ -572,25 +574,6 @@ class SeriesVector:
         return "SeriesVector(%r)" % (self.components,)
 
 
-def _solve_exact(J, rhs_columns):
-    """Solve J X = rhs for small exact systems; raises ReversionError when
-    singular.  ``rhs_columns`` is a list of right-hand-side vectors."""
-    m = len(J)
-    aug = [list(J[i]) + [col[i] for col in rhs_columns] for i in range(m)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ReversionError("singular Jacobian at the origin")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col] if isinstance(aug[col][col], Fraction) else 1.0 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [[aug[i][m + k] for i in range(m)] for k in range(len(rhs_columns))]
-
-
 def solve_implicit_system(equations, unknowns, knowns, values=None):
     """Revert a truncated series system.
 
@@ -599,11 +582,9 @@ def solve_implicit_system(equations, unknowns, knowns, values=None):
     the variable ``values[i]`` (by default the last ``len(equations)`` names
     in ``knowns``).  Returns one series per unknown, in the knowns, such that
     back-substitution reproduces the value variables up to truncation.
+    The block linear in the unknowns must be exact and invertible.
     """
-    if isinstance(equations, SeriesVector):
-        eqs = list(equations)
-    else:
-        eqs = list(equations)
+    eqs = list(equations)
     sp = eqs[0].space
     m = len(eqs)
     if len(unknowns) != m:
@@ -622,9 +603,11 @@ def solve_implicit_system(equations, unknowns, knowns, values=None):
         if eq.constant_term() != 0:
             raise ReversionError("equations must vanish at the origin")
     # Linear-in-unknown block and the remainder of each equation.
-    J = [[eq.coefficient(unit(j)) for j in uidx] for eq in eqs]
-    Jinv_cols = _solve_exact(J, [[Fraction(1) if r == k else Fraction(0) for r in range(m)]
-                                 for k in range(m)])
+    J = Matrix([[eq.coefficient(unit(j)) for j in uidx] for eq in eqs])
+    try:
+        Jinv = J.inverse().rows
+    except LinalgError:
+        raise ReversionError("singular Jacobian at the origin") from None
     rest = []
     for eq in eqs:
         terms = dict(eq.terms)
@@ -643,7 +626,7 @@ def solve_implicit_system(equations, unknowns, knowns, values=None):
         for i in range(m):
             acc = TruncatedSeries.zero(sp)
             for k in range(m):
-                acc = acc + resid[k] * Jinv_cols[k][i]
+                acc = acc + resid[k] * Jinv[i][k]
             new.append(acc)
         if new == guesses:
             break

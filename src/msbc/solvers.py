@@ -104,19 +104,6 @@ class FieldTrajectory:
                 return st
         raise KeyError("no snapshot at t=%r" % t)
 
-    def to_csv_rows(self):
-        xs = self.grid.nodes()
-        rows = []
-        for st in self.states:
-            if self.kind == "micro":
-                for name, arr in (("a", st.a), ("b", st.b)):
-                    for x, v in zip(xs, arr):
-                        rows.append((st.t, x, name, v))
-            else:
-                for x, v in zip(xs, st.C):
-                    rows.append((st.t, x, "C", v))
-        return rows
-
 
 def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
     """Right-hand side and analytic Jacobian of the two-stream system over

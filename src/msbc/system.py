@@ -64,7 +64,7 @@ class SpatialSystem:
                              label=self.label + "@eps=1" if self.label else "@eps=1")
 
     def eigenstructure(self):
-        return EigenStructure.from_matrix(self.linear)
+        return linalg.eigen(self.linear)
 
     def serialize(self):
         lines = ["matrix"]
@@ -74,75 +74,6 @@ class SpatialSystem:
             lines.append("perturbation d%s/dx" % name)
             lines.extend(comp.to_lines())
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class EigenStructure:
-    """Eigenvalues and eigenvectors, exact where the spectrum is rational.
-
-    For a defective eigenvalue the eigenvector list repeats the available
-    eigenvectors so that every (value, vector) pair satisfies A v = lambda v;
-    the generalised directions are reported separately.
-    """
-
-    eigenvalues: list
-    eigenvectors: list
-    diagonalizable: bool
-    generalized: list
-
-    @classmethod
-    def from_matrix(cls, mat):
-        eig = linalg.eigen(mat)
-        values, vectors, generalized = [], [], []
-        for (lam, mult), basis in zip(eig.values, eig.vectors):
-            for k in range(mult):
-                values.append(lam)
-                vectors.append(basis[min(k, len(basis) - 1)])
-            if len(basis) < mult and isinstance(lam, Fraction):
-                # one Jordan chain step is enough for this family
-                shifted = mat - Matrix.identity(mat.n).scaled(lam)
-                target = basis[0]
-                sol = _solve_affine(shifted, target)
-                if sol is not None:
-                    generalized.append((lam, sol))
-        return cls(values, vectors, eig.diagonalizable, generalized)
-
-    def residuals(self, mat):
-        out = []
-        A = mat.to_float()
-        for lam, vec in zip(self.eigenvalues, self.eigenvectors):
-            v = [float(x) for x in vec]
-            Av = A.dot(v)
-            out.append(max(abs(Av[i] - float(lam) * v[i]) for i in range(len(v))))
-        return out
-
-
-def _solve_affine(mat, rhs):
-    """One exact solution of mat x = rhs, or None."""
-    n, m = mat.n, mat.m
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat.rows)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if a[r][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][m]
-    return x
 
 
 def build_original():

@@ -22,7 +22,10 @@ def fresh_derive(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", ["derivation_report.txt", "robin_bc.txt",
-                                  "transform_eps1.txt"])
+                                  "transform_eps1.txt", "evolution_eps1.txt",
+                                  "resonance_table.txt",
+                                  "boundary_constraint.txt",
+                                  "reverted_boundary.txt"])
 def test_derivation_artifact_matches_golden(fresh_derive, name):
     with open(os.path.join(GOLDEN, name)) as fh:
         expected = fh.read()

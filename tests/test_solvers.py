@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from msbc import solvers
+from msbc import cli, solvers
 from msbc.boundary import BoundaryData
 from msbc.solvers import Grid1D, MacroState, SolveConfig, SolverError
 
@@ -376,8 +376,17 @@ def test_boundary_layers_confined_to_ends(reference_run):
     assert gap[xs >= 28.0].max() > interior_median
 
 
-def test_trajectory_csv_rows(reference_run):
-    rows = reference_run["dirichlet"].to_csv_rows()
-    assert rows[0][2] == "C"
-    ts = {r[0] for r in rows}
+def test_trajectory_csv_rows(reference_run, tmp_path):
+    paths = cli._write_csvs(reference_run["dirichlet"], "ref", "macro-dirichlet",
+                            str(tmp_path))
+    assert len(paths) == len(reference_run["snapshots"])
+    ts = set()
+    for path in paths:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "t,x,field,value"
+        rows = [line.split(",") for line in lines[1:]]
+        assert {r[2] for r in rows} == {"C"}
+        assert len({r[0] for r in rows}) == 1
+        ts.add(float(rows[0][0]))
     assert ts == set(reference_run["snapshots"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msbc import system
-from msbc.linalg import Matrix
+from msbc.linalg import Matrix, eigen
 
 
 def test_original_matrix_entries():
@@ -47,10 +47,11 @@ def test_embedding_reduces_exactly_at_parameter_one(variant):
 
 
 def test_embedding_a_eigenstructure():
-    es = system.build_embedding("A").eigenstructure()
-    assert es.diagonalizable
-    assert es.eigenvalues == [F(-2, 3), F(0), F(0), F(2, 3)]
     A = system.build_embedding("A").linear
+    es = eigen(A)
+    assert es.diagonalizable
+    assert es.generalized == []
+    assert es.eigenvalues == [F(-2, 3), F(0), F(0), F(2, 3)]
     assert max(es.residuals(A)) <= 1e-12
     # unstable eigenvector parallel to (-3/2, 3/2, 0, 1)
     vec = es.eigenvectors[es.eigenvalues.index(F(2, 3))]
@@ -67,10 +68,21 @@ def test_eigenstructure_residual_bound_all_systems():
         assert max(es.residuals(s.linear)) <= 1e-12
 
 
+def test_original_generalized_direction():
+    A = system.build_original().linear
+    es = eigen(A)
+    assert not es.diagonalizable
+    # the defective zero repeats its one eigenvector in the flat list
+    assert es.eigenvectors[1] == es.eigenvectors[2]
+    (lam, w), = es.generalized
+    assert lam == 0
+    v = es.eigenvectors[1]
+    assert [sum(A[i, j] * w[j] for j in range(4)) for i in range(4)] == v
+
+
 def test_coordinate_map_inverse_exact():
     cm = system.coordinate_map()
     assert cm.matrix * cm.inverse == Matrix.identity(4)
-    assert cm.matrix.det() != 0
 
 
 def test_coordinate_map_rows():
