@@ -14,7 +14,8 @@ from .boundary import (BoundaryData, RobinBC, assemble_left_bc,  # noqa: F401
                        assemble_right_bc, centre_stable_restriction,
                        derive_boundary_conditions, revert_boundary)
 from .normalform import (ConstructionRefused, construct,  # noqa: F401
-                         cross_validate_embeddings, verify_conjugacy)
+                         construct_at_unity, cross_validate_embeddings,
+                         verify_conjugacy)
 from .series import (ReversionError, SeriesError, SeriesVector,  # noqa: F401
                      Space, TruncatedSeries, solve_implicit_system)
 from .solvers import (Grid1D, SolveConfig, SolverError,  # noqa: F401

@@ -68,15 +68,14 @@ class BoundaryData:
 
 
 def centre_stable_restriction(transform):
-    """First two transform components at parameter 1, growing mode set to
-    zero, relabelled to boundary values."""
-    unity = transform.at_eps1() if hasattr(transform, "at_eps1") else transform
-    order = unity.space.order
-    target = Space(BOUNDARY_VARS, order)
+    """First two components of the parameter-1 transform (the series vector
+    ``normalform.construct_at_unity`` returns), growing mode set to zero,
+    relabelled to boundary values."""
+    target = Space(BOUNDARY_VARS, transform.space.order)
     rename = {"s1": "s1_0", "s2": "s2_0", "s3": "s3_0"}
     comps = []
     for i in (0, 1):
-        comps.append(unity[i].at_zero("s4").map_vars(target, rename))
+        comps.append(transform[i].at_zero("s4").map_vars(target, rename))
     return BoundaryConstraint(a0_series=comps[0], b0_series=comps[1])
 
 
@@ -212,7 +211,7 @@ def assemble_right_bc(reverted, data: BoundaryData):
 
 
 def derive_boundary_conditions(transform, data: BoundaryData):
-    """Full chain from a constructed transform to both Robin conditions."""
+    """Full chain from the parameter-1 transform to both Robin conditions."""
     constraint = centre_stable_restriction(transform)
     reverted = revert_boundary(constraint)
     return (constraint, reverted,

@@ -148,23 +148,28 @@ def _cross_tolerance():
 
 
 class Derivation:
-    """Everything cmd_derive computes; reused by the simulation commands so
-    the boundary conditions always flow from the live pipeline."""
+    """The parameter-1 normal form of the unembedded system and the boundary
+    conditions derived from it; reused by the simulation commands so the
+    boundary conditions always flow from the live pipeline."""
 
-    def __init__(self, order=3, eps_order=None, data=None):
+    def __init__(self, order=3, data=None):
         self.order = order
-        data = data or BoundaryData()
-        sysA = system.build_embedding("A")
-        self.transform, self.evolution, self.report = normalform.construct(
-            sysA, order=order, eps_order=eps_order)
+        (self.transform, self.evolution, self.leftovers,
+         self.retained) = normalform.construct_at_unity(system.build_original(), order)
         (self.constraint, self.reverted,
          self.bc_left, self.bc_right) = boundary.derive_boundary_conditions(
-            self.transform, data)
+            self.transform, data or BoundaryData())
 
-    def rebind(self, data):
-        self.bc_left = boundary.assemble_left_bc(self.reverted, data)
-        self.bc_right = boundary.assemble_right_bc(self.reverted, data)
-        return self
+
+def _cross_validate(deriv, eps_order=None):
+    """Build embedding A's graded view and check the derivation against both
+    embeddings; returns (A's resonance report, the cross-check)."""
+    transform, evolution, report = normalform.construct(
+        system.build_embedding("A"), order=deriv.order, eps_order=eps_order)
+    cross = normalform.cross_validate_embeddings(
+        transform, evolution, (deriv.transform, deriv.evolution),
+        tolerance=_cross_tolerance())
+    return report, cross
 
 
 def _series_block(series_vector, labels):
@@ -174,14 +179,14 @@ def _series_block(series_vector, labels):
     return lines
 
 
-def derivation_report(deriv: Derivation, cross):
+def derivation_report(deriv: Derivation, report, cross):
     es_orig = system.build_original().eigenstructure()
     lines = []
     push = lines.append
     push("macroscale boundary-condition derivation report")
     push("=" * 48)
     push("truncation order: %d    embedding resummation cap: %d"
-         % (deriv.order, deriv.transform.eps_order))
+         % (deriv.order, cross.eps_order))
     push("")
     push("[linear analysis]")
     push("unembedded matrix eigenvalues: %s"
@@ -196,21 +201,20 @@ def derivation_report(deriv: Derivation, cross):
     push("")
     push("[coordinate transform at parameter 1]  (2 s.f.; exact values in "
          "transform_eps1.txt)")
-    lines.extend(_series_block(deriv.transform.at_eps1(), ("a ", "b ", "a'", "b'")))
+    lines.extend(_series_block(deriv.transform, ("a ", "b ", "a'", "b'")))
     push("")
     push("[evolution at parameter 1]")
-    lines.extend(_series_block(deriv.evolution.at_eps1(),
+    lines.extend(_series_block(deriv.evolution,
                                ("ds1/dx", "ds2/dx", "ds3/dx", "ds4/dx")))
     push("")
     push("[separated structure]")
-    report = deriv.report
     push("graded resonant terms kept: %d, removed into the transform: %d"
          % (len(report.kept()), len(report.removed())))
     push("slow-equation fast-variable terms at parameter 1: %s"
-         % (report.unity_leftovers or "none"))
+         % (deriv.leftovers or "none"))
     push("fast-equation cross terms retained at parameter 1 (cubic, divisible "
          "by the own variable): %s"
-         % (", ".join("G%d %s %s" % (c, m, v) for c, m, v in report.unity_retained)
+         % (", ".join("G%d %s %s" % (c, m, v) for c, m, v in deriv.retained)
             or "none"))
     push("the mean-field amplitude is identified with s1 on the slow manifold")
     push("(they differ off the manifold, where s1 parametrises the fibre).")
@@ -247,24 +251,23 @@ def cmd_derive(order, out_dir, eps_order=None):
     if order < 2:
         raise ScenarioError("order must be at least 2")
     os.makedirs(out_dir, exist_ok=True)
-    deriv = Derivation(order=order, eps_order=eps_order)
-    cross = normalform.cross_validate_embeddings(
-        deriv.transform, deriv.evolution, tolerance=_cross_tolerance())
+    deriv = Derivation(order=order)
+    report, cross = _cross_validate(deriv, eps_order)
 
     _write(os.path.join(out_dir, "derivation_report.txt"),
-           derivation_report(deriv, cross))
+           derivation_report(deriv, report, cross))
     labels = ("a", "b", "ap", "bp")
     blocks = []
-    for label, comp in zip(labels, deriv.transform.at_eps1()):
+    for label, comp in zip(labels, deriv.transform):
         blocks.append("component %s" % label)
         blocks.extend(comp.to_lines())
     _write(os.path.join(out_dir, "transform_eps1.txt"), "\n".join(blocks) + "\n")
     blocks = []
-    for j, comp in enumerate(deriv.evolution.at_eps1()):
+    for j, comp in enumerate(deriv.evolution):
         blocks.append("component ds%d/dx" % (j + 1))
         blocks.extend(comp.to_lines())
     _write(os.path.join(out_dir, "evolution_eps1.txt"), "\n".join(blocks) + "\n")
-    _write(os.path.join(out_dir, "resonance_table.txt"), deriv.report.to_text())
+    _write(os.path.join(out_dir, "resonance_table.txt"), report.to_text())
     blocks = ["a0"] + deriv.constraint.a0_series.to_lines() \
         + ["b0"] + deriv.constraint.b0_series.to_lines()
     _write(os.path.join(out_dir, "boundary_constraint.txt"), "\n".join(blocks) + "\n")
@@ -312,8 +315,6 @@ def _run_mode(scenario, mode, deriv=None):
         return solvers.solve_macroscale(cfg)
     if deriv is None:
         deriv = Derivation(order=scenario.order, data=scenario.data)
-    else:
-        deriv.rebind(scenario.data)
     bcl, bcr = deriv.bc_left, deriv.bc_right
     if bc_mode == "robin-linearised":
         bcl, bcr = bcl.linearized(), bcr.linearized()
@@ -341,8 +342,7 @@ def cmd_compare(scenario_file, out_dir, window=solvers.DEFAULT_WINDOW):
     scenario = parse_scenario(scenario_file)
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=scenario.order, data=scenario.data)
-    cross = normalform.cross_validate_embeddings(
-        deriv.transform, deriv.evolution, tolerance=_cross_tolerance())
+    _, cross = _cross_validate(deriv)
 
     micro = _run_mode(scenario, "micro")
     runs = {}

@@ -14,7 +14,7 @@ arithmetic wherever the spectrum is rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import isqrt, lcm, sqrt
 
 import numpy as np
 
@@ -207,9 +207,7 @@ def rational_roots(coeffs):
     """All rational roots (with multiplicity) of a rational-coefficient
     polynomial, plus the deflated remainder polynomial."""
     coeffs = [_frac(c) for c in coeffs]
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     roots = []
     while len(ints) > 1:
@@ -224,21 +222,13 @@ def rational_roots(coeffs):
             break
         roots.append(hit)
         fracs = _deflate([Fraction(v) for v in ints], hit)
-        den2 = 1
-        for c in fracs:
-            den2 = den2 * c.denominator // _gcd(den2, c.denominator)
+        den2 = lcm(*(c.denominator for c in fracs))
         ints = [int(c * den2) for c in fracs]
     remainder = [Fraction(v) for v in ints]
     if remainder and remainder[0] not in (0, 1):
         lead = remainder[0]
         remainder = [c / lead for c in remainder]
     return roots, remainder
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class Eigen:

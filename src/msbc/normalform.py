@@ -1,9 +1,10 @@
 """Order-by-order separation of slow, stable and unstable spatial modes.
 
-``construct`` builds a near-identity coordinate change u = T(s) and reduced
-evolution ds/dx = G(s) with DT(s)·G(s) = F(T(s)) up to the truncation caps,
-for a four-state spatial system whose linear part is diagonalisable with
-eigenvalues {0, 0, -mu, +mu}.  Two views of the result are produced.
+A near-identity coordinate change u = T(s) and reduced evolution
+ds/dx = G(s) with DT(s)·G(s) = F(T(s)) up to the truncation caps are built
+in two views: ``construct`` builds the graded view of an embedding, whose
+linear part is diagonalisable with eigenvalues {0, 0, -mu, +mu}, and
+``construct_at_unity`` builds the parameter-1 view of the unembedded system.
 
 The graded view expands in the embedding parameter, treated as an extra
 zero-eigenvalue variable with its own cap.  Residual monomials with nonzero
@@ -20,13 +21,14 @@ The parameter-1 view resolves that sector.  At parameter value 1 every
 embedding collapses to the same unembedded system, whose zero eigenvalue is
 defective; in the collapse-aligned basis the linear part is the exact Jordan
 form diag-plus-nilpotent, and the extra nilpotent direction makes the cross
-terms removable.  ``at_eps1`` therefore returns the normal form constructed
-directly against the collapsed system: through cubic order the slow
-equations involve slow variables only and each fast equation is divisible by
-its own variable (beyond cubic order a few resonant obstructions are genuine;
-they are kept and surfaced, never dropped).  On the separated sector the
-graded view resums exactly onto this object; the boundary-condition
-derivation consumes the parameter-1 view.
+terms removable.  ``construct_at_unity`` builds this normal form directly
+from the unembedded system: through cubic order the slow equations involve
+slow variables only and each fast equation is divisible by its own variable
+(beyond cubic order a few resonant obstructions are genuine; they are kept
+and surfaced, never dropped).  It is the object the boundary-condition
+derivation consumes.  The graded views of the embeddings only verify it: on
+the separated sector each resums exactly onto it, which
+``cross_validate_embeddings`` checks.
 
 Both views run on one construction kernel.  ``_homological_residual``
 assembles each degree's residual from the slices below it (the parameter
@@ -34,7 +36,7 @@ shift only in the graded view), ``_pin_slow`` holds the slow-manifold
 parametrisation, ``_lift`` maps solved coefficients back to the state and
 ``_assemble`` turns the slices into series.  The parameter-1 view takes its
 kernel, Jordan step and fast eigenvectors from one ``linalg.eigen`` call on
-the collapsed matrix, and solves its coupled kernel slots with
+the unembedded matrix, and solves its coupled kernel slots with
 ``linalg.solve``.
 """
 
@@ -58,14 +60,6 @@ _EIGEN_PATTERN = (0, 0, -1, 1)  # integer multiples of mu per component
 class ConstructionRefused(ValueError):
     """The linear part cannot be handled (not diagonalisable, or the
     spectrum is not the slow/stable/unstable family)."""
-
-
-def nf_space(order, eps_order):
-    return Space(NF_VARS, order, grading="eps", grading_order=eps_order)
-
-
-def unity_space(order):
-    return Space(NF_STATE, order)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +243,10 @@ class ResonanceEntry:
 
 @dataclass
 class ResonanceReport:
-    """Homological bookkeeping: one entry per processed monomial with a
-    nonzero residual coefficient, plus any term the parameter-1 construction
-    could not remove from its separated form (none occur through cubic
-    order; genuine obstructions appear from quartic order on)."""
+    """Homological bookkeeping of a graded construction: one entry per
+    processed monomial with a nonzero residual coefficient."""
 
     entries: list = field(default_factory=list)
-    unity_leftovers: list = field(default_factory=list)
-    unity_retained: list = field(default_factory=list)
 
     def kept(self):
         return [e for e in self.entries if e.disposition == "kept-in-G"]
@@ -279,21 +269,12 @@ class ResonanceReport:
 
 @dataclass
 class CoordinateTransform:
-    """Physical fields as series in the separated coordinates.
-
-    ``series`` is the graded expansion over (s1..s4, eps); ``at_eps1``
-    returns the resummed transform at parameter value 1 as series over
-    (s1..s4), the object all printed-coefficient comparisons refer to.
-    """
+    """Physical fields as series in the separated coordinates: the graded
+    expansion over (s1..s4, eps)."""
 
     series: SeriesVector
-    t1: list                 # linear-part columns of the graded view
     order: int
     eps_order: int
-    unity: SeriesVector = field(default=None, repr=False)
-
-    def at_eps1(self):
-        return self.unity
 
 
 @dataclass
@@ -303,10 +284,6 @@ class NormalFormEvolution:
     series: SeriesVector
     order: int
     eps_order: int
-    unity: SeriesVector = field(default=None, repr=False)
-
-    def at_eps1(self):
-        return self.unity
 
 
 def _aligned_eigenbasis(system: SpatialSystem, cmap):
@@ -388,14 +365,18 @@ def _perturbation_shape(system, one):
     return quad, N, has_eps
 
 
-def construct(system: SpatialSystem, cmap=None, order=3, eps_order=None):
-    """Build (CoordinateTransform, NormalFormEvolution, ResonanceReport)."""
+def _check_order(order):
     if order < 2:
         raise ValueError("order must be at least 2")
     if order > 7:
         raise ValueError("order above 7 would overflow the packed exponents")
-    if cmap is None:
-        cmap = coordinate_map()
+
+
+def construct(system: SpatialSystem, order=3, eps_order=None):
+    """Graded view of an embedding: build (CoordinateTransform,
+    NormalFormEvolution, ResonanceReport)."""
+    _check_order(order)
+    cmap = coordinate_map()
     if eps_order is None:
         eps_order = DEFAULT_EPS_ORDER
     cols, mu, exact = _aligned_eigenbasis(system, cmap)
@@ -475,23 +456,25 @@ def construct(system: SpatialSystem, cmap=None, order=3, eps_order=None):
                 top = max(top, d)
         d += 1
 
-    space = nf_space(order, eps_order)
-    transform = CoordinateTransform(_assemble(T, space, _decode5), t1, order, eps_order)
+    space = Space(NF_VARS, order, grading="eps", grading_order=eps_order)
+    transform = CoordinateTransform(_assemble(T, space, _decode5), order, eps_order)
     evolution = NormalFormEvolution(_assemble(G, space, _decode5), order, eps_order)
-
-    reduced = system.reduced_at_eps1()
-    Tu, Gu, leftovers, retained = _construct_at_unity(reduced, cmap, order)
-    transform.unity = Tu
-    evolution.unity = Gu
-    report.unity_leftovers = leftovers
-    report.unity_retained = retained
     return transform, evolution, report
 
 
-def _construct_at_unity(reduced: SpatialSystem, cmap, order):
-    """Separated normal form of the collapsed system, exact rationals.
+def construct_at_unity(system: SpatialSystem, order=3):
+    """Parameter-1 view: the separated normal form of the unembedded system
+    (every embedding collapsed at parameter 1), exact rationals.
 
-    The collapsed linear part has a defective zero eigenvalue; in the
+    Returns ``(T, G, leftovers, retained)``: the transform and the evolution
+    as series vectors over (s1..s4), then the resonant terms the kernel
+    freedom could not remove, as ``(component, monomial, value)`` triples:
+    ``leftovers`` in a slow component (they break the separated form),
+    ``retained`` in a fast one (still divisible by its own variable).
+    ``leftovers`` is empty through cubic order; genuine obstructions appear
+    from quartic order on.
+
+    The unembedded linear part has a defective zero eigenvalue; in the
     aligned basis it is the Jordan matrix with unit nilpotent entry from
     the gradient direction into the mean.  The nilpotent both couples the
     per-monomial homological equations (a short ladder in the slow
@@ -501,7 +484,9 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
     a removal needs them (their influence enters through the quadratic
     interaction).
     """
-    A = reduced.linear
+    _check_order(order)
+    cmap = coordinate_map()
+    A = system.linear
     eig = linalg.eigen(A)
     mu = Fraction(2, 3)
     if eig.eigenvalues != [-mu, 0, 0, mu]:
@@ -551,9 +536,9 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
 
     alpha = [t1[0][j] + t1[1][j] for j in range(4)]
     beta = [t1[2][j] + t1[3][j] for j in range(4)]
-    quad, N, has_eps = _perturbation_shape(reduced, Fraction(1))
+    quad, N, has_eps = _perturbation_shape(system, Fraction(1))
     if has_eps:
-        raise ConstructionRefused("collapsed system still carries the parameter")
+        raise ConstructionRefused("system still carries the embedding parameter")
 
     T1, G1 = _linear_slices(t1, [n * mu for n in _EIGEN_PATTERN])
     G1[0][1 << _SHIFTS[1]] = h  # d s1/dx = s2 at linear order
@@ -743,7 +728,7 @@ def _construct_at_unity(reduced: SpatialSystem, cmap, order):
         pending = [(i, key) for (i, key) in cross_now
                    if key not in psi[i] and (key & 15) == 0 and i != 1]
 
-    space = unity_space(order)
+    space = Space(NF_STATE, order)
     return (_assemble(T, space, _decode4), _assemble(G, space, _decode4),
             leftovers, retained)
 
@@ -804,7 +789,7 @@ class CrossCheck:
 
     ``max_discrepancy`` compares the resummed separated sectors of the two
     graded constructions coefficientwise; ``resummation_gap`` compares the
-    exact-lane resummation against the direct parameter-1 construction.
+    resummation of embedding A against the parameter-1 construction.
     """
 
     identical: bool
@@ -818,15 +803,19 @@ class CrossCheck:
         return self.identical
 
 
-def cross_validate_embeddings(transform, evolution, tolerance=1e-12):
-    """Compare the caller's embedding-A construction with embedding B's.
+def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
+    """Check the parameter-1 normal form against both embedding families.
 
-    B is built at A's ``order`` and ``eps_order``.  Both graded views are
-    resummed at parameter value 1 by ``TruncatedSeries.grading_at_one``:
-    each state monomial's coefficients are summed over the parameter powers
-    in stored term order, and sums that cancel to zero are dropped.  The
-    separated sectors of the resummed series are then compared
-    coefficientwise with each other and with A's parameter-1 construction.
+    ``transform`` and ``evolution`` are the caller's graded construction of
+    embedding A; ``direct`` is the (transform, evolution) pair that
+    ``construct_at_unity`` built at the same order.  Only embedding B's
+    graded view is built here, at A's ``order`` and ``eps_order``.  Both
+    graded views are resummed at parameter value 1 by
+    ``TruncatedSeries.grading_at_one``: each state monomial's coefficients
+    are summed over the parameter powers in stored term order, and sums
+    that cancel to zero are dropped.  The separated sectors of the resummed
+    series are then compared coefficientwise with each other and with the
+    parameter-1 pair.
     """
     from .system import build_embedding
 
@@ -834,10 +823,10 @@ def cross_validate_embeddings(transform, evolution, tolerance=1e-12):
     tB, gB, _ = construct(build_embedding("B"), order=order, eps_order=eps_order)
     worst = 0.0
     gap = 0.0
-    for a, b in ((transform, tB), (evolution, gB)):
+    for a, b, unit in zip((transform, evolution), (tB, gB), direct):
         va = a.series.map(TruncatedSeries.grading_at_one)
         vb = b.series.map(TruncatedSeries.grading_at_one)
-        for ca, cb, cu in zip(va, vb, a.unity):
+        for ca, cb, cu in zip(va, vb, unit):
             da, db = _separated_sector(ca), _separated_sector(cb)
             for key in set(da) | set(db):
                 worst = max(worst, abs(float(da.get(key, 0)) - float(db.get(key, 0))))

@@ -12,8 +12,15 @@ def constructed():
 
 
 @pytest.fixture(scope="session")
-def derivation(constructed):
-    transform, _, _ = constructed
+def at_unity():
+    """Parameter-1 transform, evolution, leftovers and retained terms of the
+    unembedded system at order 3."""
+    return normalform.construct_at_unity(system.build_original(), order=3)
+
+
+@pytest.fixture(scope="session")
+def derivation(at_unity):
+    transform = at_unity[0]
     data = reference_data()
     constraint = boundary.centre_stable_restriction(transform)
     reverted = boundary.revert_boundary(constraint)

@@ -28,14 +28,13 @@ def _ok(n, text):
     print("CRITERION %d PASS: %s" % (n, text))
 
 
-def test_criterion_1_transform_coefficients(tmp_path):
+def test_criterion_1_transform_coefficients(tmp_path, at_unity):
     t0 = time.time()
     rc = cli.main(["derive", "--order", "3", "--out", str(tmp_path)])
     elapsed = time.time() - t0
     assert rc == 0
     assert elapsed < 10.0, "derive took %.1fs" % elapsed
-    transform, _, _ = normalform.construct(system.build_embedding("A"), order=3)
-    unity = transform.at_eps1()
+    unity = at_unity[0]
     checked = 0
     for name, table in TRANSFORM_REFERENCE.items():
         comp = unity[("a", "b", "ap", "bp").index(name)]
@@ -47,9 +46,8 @@ def test_criterion_1_transform_coefficients(tmp_path):
         "%.1fs" % (checked, elapsed))
 
 
-def test_criterion_2_evolution_and_bc_coefficients(constructed, derivation):
-    _, evolution, _ = constructed
-    unity = evolution.at_eps1()
+def test_criterion_2_evolution_and_bc_coefficients(at_unity, derivation):
+    unity = at_unity[1]
     for j, table in enumerate(EVOLUTION_REFERENCE):
         for mono, printed in table.items():
             assert against_printed(coef(unity[j], **dict(mono)), printed)
@@ -85,33 +83,33 @@ def test_criterion_2_evolution_and_bc_coefficients(constructed, derivation):
         "boundary conditions all reproduce the printed values")
 
 
-def test_criterion_3_embedding_cross_validation(constructed):
+def test_criterion_3_embedding_cross_validation(constructed, at_unity):
     transform, evolution, _ = constructed
-    cc = normalform.cross_validate_embeddings(transform, evolution)
+    cc = normalform.cross_validate_embeddings(transform, evolution, at_unity[:2])
     assert cc.identical
     assert cc.max_discrepancy <= 1e-12
     _ok(3, "both embeddings give the same separated form at parameter 1 "
         "(max coefficient discrepancy %.2e)" % cc.max_discrepancy)
 
 
-def test_criterion_4_conjugacy(constructed):
+def test_criterion_4_conjugacy(constructed, at_unity):
     transform, evolution, _ = constructed
     emb = system.build_embedding("A")
     resid = normalform.verify_conjugacy(transform, evolution, emb)
     assert all(c.is_zero() for c in resid)
-    resid = normalform.verify_conjugacy(transform.at_eps1(), evolution.at_eps1(),
+    resid = normalform.verify_conjugacy(at_unity[0], at_unity[1],
                                         emb.reduced_at_eps1())
     assert all(c.is_zero() for c in resid)
     # numeric dual integration at |s| = 0.01 over one unit of space
     from test_normalform import test_numeric_dual_integration
-    test_numeric_dual_integration(constructed)
+    test_numeric_dual_integration(at_unity)
     _ok(4, "conjugacy residual vanishes identically; dual numeric "
         "integration agrees to 1e-6")
 
 
 def test_criterion_5_figure_comparison():
     t0 = time.time()
-    transform, _, _ = normalform.construct(system.build_embedding("A"), order=3)
+    transform = normalform.construct_at_unity(system.build_original(), order=3)[0]
     data = reference_data()
     _, _, bcl, bcr = boundary.derive_boundary_conditions(transform, data)
     grid = solvers.Grid1D(L=30.0, n=600)
@@ -146,15 +144,15 @@ def test_criterion_6_solver_verification():
         "state matches the direct boundary-value solve to 1e-6")
 
 
-def test_criterion_7_structural_invariants(constructed, derivation):
-    transform, evolution, report = constructed
-    unity_G = evolution.at_eps1()
+def test_criterion_7_structural_invariants(constructed, at_unity, derivation):
+    transform, _, _ = constructed
+    unity_T, unity_G, leftovers, _ = at_unity
     for j in (0, 1):
         assert all(e[2] == 0 and e[3] == 0 for e in unity_G[j].terms)
     assert all(e[2] >= 1 for e in unity_G[2].terms)
     assert all(e[3] >= 1 for e in unity_G[3].terms)
-    assert report.unity_leftovers == []
-    for vec in (transform.series, transform.at_eps1()):
+    assert leftovers == []
+    for vec in (transform.series, unity_T):
         sp = vec.space
         assert (vec[0] + vec[1]).at_zero("s3", "s4") == \
             2 * TruncatedSeries.variable(sp, "s1")

@@ -14,10 +14,9 @@ from conftest import tanhsq
 from test_normalform import against_printed, coef
 
 
-def test_restriction_matches_transform_with_growing_mode_off(constructed):
-    transform, _, _ = constructed
-    con = boundary.centre_stable_restriction(transform)
-    unity = transform.at_eps1()
+def test_restriction_matches_transform_with_growing_mode_off(at_unity):
+    unity = at_unity[0]
+    con = boundary.centre_stable_restriction(unity)
     rename = dict(zip(("s1", "s2", "s3"), ("s1_0", "s2_0", "s3_0")))
     for series, comp in ((con.a0_series, unity[0]), (con.b0_series, unity[1])):
         expected = comp.at_zero("s4").map_vars(series.space, rename)

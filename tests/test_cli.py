@@ -108,17 +108,27 @@ def test_derive_is_deterministic(derive_out, tmp_path):
         assert read(derive_out / name) == read(out2 / name), name
 
 
-def test_derive_builds_each_embedding_once(tmp_path, monkeypatch):
-    real = normalform.construct
-    labels = []
+def test_derive_builds_each_embedding_once(tmp_path, monkeypatch, small_scenario):
+    # the system label of every graded and every parameter-1 construction
+    calls = {"construct": [], "construct_at_unity": []}
+    for name, labels in calls.items():
+        def counted(system, *args, _real=getattr(normalform, name), _labels=labels,
+                    **kwargs):
+            _labels.append(system.label)
+            return _real(system, *args, **kwargs)
+        monkeypatch.setattr(normalform, name, counted)
 
-    def counted(system, *args, **kwargs):
-        labels.append(system.label)
-        return real(system, *args, **kwargs)
+    def run(*argv):
+        for labels in calls.values():
+            labels.clear()
+        assert cli.main(list(argv) + ["--out", str(tmp_path / argv[0])]) == 0
+        return sorted(calls["construct"]), calls["construct_at_unity"]
 
-    monkeypatch.setattr(normalform, "construct", counted)
-    assert cli.main(["derive", "--order", "3", "--out", str(tmp_path / "o")]) == 0
-    assert sorted(labels) == ["embedding-A", "embedding-B"]
+    built = (["embedding-A", "embedding-B"], ["original"])
+    assert run("derive", "--order", "3") == built
+    assert run("compare", "--scenario", small_scenario) == built
+    assert run("simulate", "--scenario", small_scenario,
+               "--mode", "macro-robin") == ([], ["original"])
 
 
 def test_derive_rejects_low_order(tmp_path):

@@ -96,9 +96,8 @@ EVOLUTION_REFERENCE = [
 ]
 
 
-def test_transform_reproduces_reference_coefficients(constructed):
-    transform, _, _ = constructed
-    unity = transform.at_eps1()
+def test_transform_reproduces_reference_coefficients(at_unity):
+    unity = at_unity[0]
     for name, table in TRANSFORM_REFERENCE.items():
         comp = unity[("a", "b", "ap", "bp").index(name)]
         for mono, printed in table.items():
@@ -106,10 +105,9 @@ def test_transform_reproduces_reference_coefficients(constructed):
             assert against_printed(got, printed), (name, mono, got, printed)
 
 
-def test_transform_quadratic_zero_slots(constructed):
+def test_transform_quadratic_zero_slots(at_unity):
     # monomials absent from the quoted quadratic truncation really vanish
-    transform, _, _ = constructed
-    unity = transform.at_eps1()
+    unity = at_unity[0]
     a = unity[0]
     assert coef(a, s1=1, s2=1) == 0
     assert coef(a, s1=1, s4=1) == 0
@@ -119,9 +117,8 @@ def test_transform_quadratic_zero_slots(constructed):
     assert coef(ap, s3=1, s4=1) == 0
 
 
-def test_evolution_reproduces_reference_coefficients(constructed):
-    _, evolution, _ = constructed
-    unity = evolution.at_eps1()
+def test_evolution_reproduces_reference_coefficients(at_unity):
+    unity = at_unity[1]
     for j, table in enumerate(EVOLUTION_REFERENCE):
         for mono, printed in table.items():
             got = coef(unity[j], **dict(mono))
@@ -137,27 +134,25 @@ def test_evolution_reproduces_reference_coefficients(constructed):
                     or c == 0
 
 
-def test_isochron_property(constructed):
-    _, evolution, report = constructed
-    unity = evolution.at_eps1()
+def test_isochron_property(at_unity):
+    _, unity, leftovers, _ = at_unity
     for j in (0, 1):
         for e in unity[j].terms:
             assert e[2] == 0 and e[3] == 0
-    assert report.unity_leftovers == []
+    assert leftovers == []
 
 
-def test_fast_equations_divisible_by_own_variable(constructed):
-    _, evolution, _ = constructed
-    unity = evolution.at_eps1()
+def test_fast_equations_divisible_by_own_variable(at_unity):
+    unity = at_unity[1]
     for e in unity[2].terms:
         assert e[2] >= 1
     for e in unity[3].terms:
         assert e[3] >= 1
 
 
-def test_slow_manifold_normalisation_exact(constructed):
+def test_slow_manifold_normalisation_exact(constructed, at_unity):
     transform, _, _ = constructed
-    for vec in (transform.series, transform.at_eps1()):
+    for vec in (transform.series, at_unity[0]):
         sp = vec.space
         s1 = TruncatedSeries.variable(sp, "s1")
         s2 = TruncatedSeries.variable(sp, "s2")
@@ -167,7 +162,7 @@ def test_slow_manifold_normalisation_exact(constructed):
         assert grad == 2 * s2
 
 
-def test_linear_part_is_map_aligned_eigenbasis(constructed):
+def test_linear_part_is_map_aligned_eigenbasis(constructed, at_unity):
     transform, _, _ = constructed
     # graded view, parameter-free slice: the base embedding's eigenbasis
     cols = {}
@@ -179,8 +174,8 @@ def test_linear_part_is_map_aligned_eigenbasis(constructed):
     assert cols[1] == [F(-1), F(1), F(1), F(1)]
     assert cols[2] == [F(1), F(-1), F(-2, 3), F(0)]
     assert cols[3] == [F(1), F(-1), F(0), F(-2, 3)]
-    # resummed view: eigenvectors of the collapsed matrix, map-normalised
-    unity = transform.at_eps1()
+    # parameter-1 view: eigenvectors of the collapsed matrix, map-normalised
+    unity = at_unity[0]
     cols = {}
     for i in range(4):
         for j, name in enumerate(("s1", "s2", "s3", "s4")):
@@ -211,26 +206,23 @@ def test_construct_rejects_low_order():
 
 
 def test_order_two_output():
-    transform, evolution, _ = normalform.construct(
-        system.build_embedding("A"), order=2, eps_order=8)
-    unity = evolution.at_eps1()
+    _, unity, _, _ = normalform.construct_at_unity(system.build_original(), order=2)
     assert unity[0] == TruncatedSeries.variable(unity.space, "s2")
     assert against_printed(coef(unity[1], s1=1, s2=1), "1.5")
 
 
-def test_conjugacy_graded_and_resummed(constructed):
+def test_conjugacy_graded_and_resummed(constructed, at_unity):
     transform, evolution, _ = constructed
     emb = system.build_embedding("A")
     resid = normalform.verify_conjugacy(transform, evolution, emb)
     assert all(c.is_zero() for c in resid)
-    resid = normalform.verify_conjugacy(transform.at_eps1(), evolution.at_eps1(),
+    resid = normalform.verify_conjugacy(at_unity[0], at_unity[1],
                                         emb.reduced_at_eps1())
     assert all(c.is_zero() for c in resid)
 
 
-def test_conjugacy_detects_mutation(constructed):
-    transform, evolution, _ = constructed
-    unity = transform.at_eps1()
+def test_conjugacy_detects_mutation(at_unity):
+    unity = at_unity[0]
     sp = unity.space
     bumped = []
     for i, comp in enumerate(unity):
@@ -238,16 +230,14 @@ def test_conjugacy_detects_mutation(constructed):
             comp = comp + TruncatedSeries(sp, {(2, 0, 0, 0): F(1, 1000)})
         bumped.append(comp)
     resid = normalform.verify_conjugacy(
-        SeriesVector(bumped), evolution.at_eps1(),
+        SeriesVector(bumped), at_unity[1],
         system.build_original())
     worst = max(abs(float(c)) for comp in resid for c in comp.terms.values())
     assert worst > 1e-5
 
 
-def test_numeric_dual_integration(constructed):
-    transform, evolution, _ = constructed
-    T = transform.at_eps1()
-    G = evolution.at_eps1()
+def test_numeric_dual_integration(at_unity):
+    T, G = at_unity[0], at_unity[1]
     rng = np.random.default_rng(42)
     s0 = 0.01 * rng.standard_normal(4)
     s0 *= 0.01 / np.linalg.norm(s0)
@@ -297,14 +287,15 @@ def test_resonance_report_bookkeeping(constructed):
     assert "kept-in-G" in text and "removed-into-T" in text
 
 
-def test_cross_validation_identity_and_orders(constructed):
+def test_cross_validation_identity_and_orders(constructed, at_unity):
     tA2, gA2, _ = normalform.construct(system.build_embedding("A"), order=2)
-    lower = normalform.cross_validate_embeddings(tA2, gA2)
+    unity2 = normalform.construct_at_unity(system.build_original(), order=2)
+    lower = normalform.cross_validate_embeddings(tA2, gA2, unity2[:2])
     assert lower.identical
     assert lower.max_discrepancy <= 1e-12
     assert (lower.order, lower.eps_order) == (2, normalform.DEFAULT_EPS_ORDER)
     transform, evolution, _ = constructed
-    cc = normalform.cross_validate_embeddings(transform, evolution)
+    cc = normalform.cross_validate_embeddings(transform, evolution, at_unity[:2])
     assert cc.identical
     assert cc.max_discrepancy <= 1e-12
     assert cc.resummation_gap == 0.0
@@ -324,15 +315,13 @@ def test_higher_order_surfaces_unremovable_cross_terms():
     # beyond cubic order the slow equations acquire genuinely resonant
     # fast-variable terms; they must be kept and reported, never dropped,
     # and the conjugacy must stay exact
-    transform, evolution, report = normalform.construct(
-        system.build_embedding("A"), order=4, eps_order=10)
+    transform, unity, leftovers, _ = normalform.construct_at_unity(
+        system.build_original(), order=4)
     emb = system.build_embedding("A")
-    resid = normalform.verify_conjugacy(transform.at_eps1(), evolution.at_eps1(),
-                                        emb.reduced_at_eps1())
+    resid = normalform.verify_conjugacy(transform, unity, emb.reduced_at_eps1())
     assert all(c.is_zero() for c in resid)
-    assert report.unity_leftovers  # order-4 obstruction is real
-    unity = evolution.at_eps1()
-    for comp, mono, value in report.unity_leftovers:
+    assert leftovers  # order-4 obstruction is real
+    for comp, mono, value in leftovers:
         assert unity[comp - 1].coefficient(mono) == value
     assert all(e[2] >= 1 for e in unity[2].terms)
     assert all(e[3] >= 1 for e in unity[3].terms)
@@ -371,8 +360,8 @@ def _same_slices(fast, ref):
 
 
 def test_mul_slice_matches_nested_loop_on_construction_slices(monkeypatch):
-    # every product of embedding B's float construction (and of its exact
-    # parameter-1 construction) is run through both routines and compared
+    # every product of embedding B's graded construction and of the exact
+    # parameter-1 construction is run through both routines and compared
     fast = normalform._mul_slice
     pairs = []
 
@@ -385,6 +374,7 @@ def test_mul_slice_matches_nested_loop_on_construction_slices(monkeypatch):
 
     monkeypatch.setattr(normalform, "_mul_slice", checked)
     normalform.construct(system.build_embedding("B"), order=3, eps_order=8)
+    normalform.construct_at_unity(system.build_original(), order=3)
     assert len(pairs) > 500 and max(pairs) > 100
 
 

@@ -281,7 +281,7 @@ def test_robin_boundary_residual_after_steps(reference_run):
     grid = reference_run["grid"]
     from conftest import reference_data
     from msbc import boundary, normalform, system
-    transform, _, _ = normalform.construct(system.build_embedding("A"), order=3)
+    transform = normalform.construct_at_unity(system.build_original(), order=3)[0]
     _, _, bcl, bcr = boundary.derive_boundary_conditions(transform, reference_data())
     dx = grid.dx
     for st in reference_run["robin"].states:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from msbc import system
+from msbc import normalform, system
 from msbc.linalg import Matrix, eigen
 
 
@@ -44,6 +44,17 @@ def test_embedding_reduces_exactly_at_parameter_one(variant):
     orig = system.build_original()
     assert red.linear == orig.linear
     assert list(red.nonlinear) == list(orig.nonlinear)
+    # so the parameter-1 normal form built from the collapsed embedding is
+    # the one built from the original system, down to term order and reprs
+    for order in (2, 3, 4):
+        got = normalform.construct_at_unity(red, order)
+        want = normalform.construct_at_unity(orig, order)
+        for vec_got, vec_want in zip(got[:2], want[:2]):
+            for comp_got, comp_want in zip(vec_got, vec_want):
+                assert list(comp_got.terms.items()) == list(comp_want.terms.items())
+                assert [repr(c) for c in comp_got.terms.values()] == \
+                    [repr(c) for c in comp_want.terms.values()]
+        assert got[2:] == want[2:] and repr(got[2:]) == repr(want[2:])
 
 
 def test_embedding_a_eigenstructure():
