@@ -154,8 +154,9 @@ class Derivation:
 
     def __init__(self, order=3, data=None):
         self.order = order
-        (self.transform, self.evolution, self.leftovers,
-         self.retained) = normalform.construct_at_unity(system.build_original(), order)
+        unity = normalform.construct_at_unity(system.build_original(), order)
+        self.transform, self.evolution, self.leftovers, self.retained = unity
+        self.eigen = unity.eigen
         (self.constraint, self.reverted,
          self.bc_left, self.bc_right) = boundary.derive_boundary_conditions(
             self.transform, data or BoundaryData())
@@ -180,7 +181,7 @@ def _series_block(series_vector, labels):
 
 
 def derivation_report(deriv: Derivation, report, cross):
-    es_orig = system.build_original().eigenstructure()
+    es_orig = deriv.eigen
     lines = []
     push = lines.append
     push("macroscale boundary-condition derivation report")

@@ -38,6 +38,16 @@ parametrisation, ``_lift`` maps solved coefficients back to the state and
 kernel, Jordan step and fast eigenvectors from one ``linalg.eigen`` call on
 the unembedded matrix, and solves its coupled kernel slots with
 ``linalg.solve``.
+
+A slice (one component's terms of one degree) is a dict while a step still
+writes it, and is frozen once it is finished: packed into a list of
+``(key, coef, sdeg, edeg)`` terms that replaces the dict.  Products read the
+packed terms directly, and the derivative of a stored transform slice is
+built once per variable, at its first use, and reused at every later
+degree.  In the graded view a slice is finished when it is stored.  In the
+parameter-1 view the knob step of degree d writes into the transform slice
+of degree d-1 after the degree-d residual has read it, so that slice is
+frozen again after the write; the packing the residual read is dropped.
 """
 
 from __future__ import annotations
@@ -64,6 +74,11 @@ class ConstructionRefused(ValueError):
 
 # ---------------------------------------------------------------------------
 # packed-exponent slice arithmetic (construction internals)
+#
+# A slice is a dict {packed key: coef} while a step writes it and a frozen
+# ``_Slice`` once it is finished (see the module docstring).  Products read
+# frozen slices; a transient dict, such as a knob's unit slice, is packed
+# where it is used.
 
 _SHIFTS = (0, 4, 8, 12, 16)
 
@@ -83,8 +98,29 @@ def _decode4(key):
     return (key & 15, (key >> 4) & 15, (key >> 8) & 15, (key >> 12) & 15)
 
 
-def _sdeg(key):
-    return (key & 15) + ((key >> 4) & 15) + ((key >> 8) & 15) + ((key >> 12) & 15)
+class _Slice(list):
+    """A frozen slice: (key, coef, sdeg, edeg) terms in insertion order, the
+    largest state and parameter degrees, and the derivative per state
+    variable, built on first use."""
+
+    __slots__ = ("smax", "emax", "derivs")
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.smax = max((t[2] for t in self), default=0)
+        self.emax = max((t[3] for t in self), default=0)
+        self.derivs = None
+
+
+def _pack(d):
+    """Freeze the dict slice ``d``."""
+    return _Slice([(k, c,
+                    (k & 15) + ((k >> 4) & 15) + ((k >> 8) & 15) + ((k >> 12) & 15),
+                    k >> 16) for k, c in d.items()])
+
+
+def _freeze(slices):
+    return [_pack(d) for d in slices]
 
 
 def _acc(d, key, c):
@@ -101,31 +137,35 @@ def _acc(d, key, c):
             d[key] = cur
 
 
-def _mul_slice(d1, d2, order, eps_order, out, scale=1):
-    """Accumulate scale·d1·d2 into ``out``, dropping products beyond the caps.
+def _mul_slice(p1, p2, order, eps_order, out, scale=1):
+    """Accumulate scale·p1·p2 into the dict ``out``, dropping products
+    beyond the caps.
 
     Exponents stay below 8 (``order`` <= 7), so packed keys add without carry
     and a product is admissible exactly when ``k2`` fits the budget that
-    ``k1`` leaves.  The admissible part of ``d2`` is filtered once per budget,
-    keeping d2's order: the pairs are visited in the nested-loop order, so
-    float sums and the insertion order of ``out`` do not change.
+    ``k1`` leaves.  The larger operand is used whole when its largest degrees
+    fit that budget, and is otherwise filtered once per budget, keeping its
+    order: the pairs are visited in the nested-loop order, so float sums and
+    the insertion order of ``out`` do not change.
     """
-    if not d1 or not d2:
+    if not p1 or not p2:
         return
-    if len(d1) > len(d2):
-        d1, d2 = d2, d1
-    packed = [(k2, c2, _sdeg(k2), k2 >> 16) for k2, c2 in d2.items()]
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    smax2, emax2 = p2.smax, p2.emax
     admissible = {}
     get = out.get
-    for k1, c1 in d1.items():
-        budget = (order - _sdeg(k1), eps_order - (k1 >> 16))
-        row = admissible.get(budget)
-        if row is None:
-            smax, emax = budget
-            row = admissible[budget] = [(k2, c2) for k2, c2, s, e in packed
-                                        if s <= smax and e <= emax]
+    for k1, c1, s1, e1 in p1:
+        smax, emax = order - s1, eps_order - e1
+        if smax2 <= smax and emax2 <= emax:
+            row = p2
+        else:
+            row = admissible.get((smax, emax))
+            if row is None:
+                row = admissible[smax, emax] = [t for t in p2
+                                                if t[2] <= smax and t[3] <= emax]
         c1s = c1 * scale if scale != 1 else c1
-        for k2, c2 in row:
+        for k2, c2, _, _ in row:
             c = c1s * c2
             if c == 0:
                 continue
@@ -141,22 +181,23 @@ def _mul_slice(d1, d2, order, eps_order, out, scale=1):
                     out[k] = cur
 
 
-def _shift_eps(d, eps_order, out, scale=1):
-    for k, c in d.items():
-        k2 = k + (1 << 16)
-        if (k2 >> 16) <= eps_order:
-            _acc(out, k2, c * scale)
+def _shift_eps(p, eps_order, out, scale=1):
+    for k, c, _, e in p:
+        if e < eps_order:
+            _acc(out, k + (1 << 16), c * scale)
 
 
-def _deriv_slice(d, j):
-    """d/ds_j of a packed-key slice (j in 0..3)."""
-    out = {}
-    sh = _SHIFTS[j]
-    for k, c in d.items():
-        kj = (k >> sh) & 15
-        if kj:
-            out[k - (1 << sh)] = c * kj
-    return out
+def _derivative(p, j):
+    """d/ds_j of the frozen slice ``p`` (j in 0..3), built once per slice."""
+    if p.derivs is None:
+        p.derivs = [None] * 4
+    dp = p.derivs[j]
+    if dp is None:
+        sh = _SHIFTS[j]
+        unit = 1 << sh
+        dp = p.derivs[j] = _Slice([(k - unit, c * ((k >> sh) & 15), s - 1, e)
+                                   for k, c, s, e in p if (k >> sh) & 15])
+    return dp
 
 
 def _linear_slices(t1, lam):
@@ -171,7 +212,9 @@ def _homological_residual(T, G, quad, N, d, order, eps_order):
     """Degree-d part of F(T) - DT·G from the slices below degree d.
 
     Per state component: the quadratic products, then the parameter shift
-    of T[d-1] by the matrix ``N`` (when given), then the -DT·G terms.
+    of T[d-1] by the matrix ``N`` (when given), then the -DT·G terms.  Every
+    slice of ``T`` and ``G`` is frozen; the derivative of a T slice is built
+    at its first use and reused at every later degree.
     """
     R = [{} for _ in range(4)]
     for c in range(4):
@@ -193,9 +236,8 @@ def _homological_residual(T, G, quad, N, d, order, eps_order):
         for c in range(4):
             for j in range(4):
                 if Gk[j]:
-                    dTe = _deriv_slice(Te[c], j)
-                    if dTe:
-                        _mul_slice(dTe, Gk[j], order, eps_order, R[c], -1)
+                    _mul_slice(_derivative(Te[c], j), Gk[j], order, eps_order,
+                               R[c], -1)
     return R
 
 
@@ -224,7 +266,7 @@ def _assemble(slices, space, decode):
     for c in range(4):
         terms = {}
         for slc in slices.values():
-            for key, coef in slc[c].items():
+            for key, coef, _, _ in slc[c]:
                 terms[decode(key)] = coef
         comps.append(TruncatedSeries(space, terms))
     return SeriesVector(comps)
@@ -233,7 +275,7 @@ def _assemble(slices, space, decode):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ResonanceEntry:
     component: int          # 1-based normal-form component
     monomial: tuple          # exponents over NF_VARS
@@ -402,7 +444,7 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
     lam = [n * mu for n in _EIGEN_PATTERN]
 
     T1, G1 = _linear_slices(t1, lam)
-    T, G = {1: T1}, {1: G1}
+    T, G = {1: _freeze(T1)}, {1: _freeze(G1)}
 
     report = ResonanceReport()
     max_total = order + eps_order
@@ -449,12 +491,17 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
                         psi[3][key] = v
             Td = _lift(t1, psi, [{} for _ in range(4)])
             if any(Td):
-                T[d] = Td
+                T[d] = _freeze(Td)
                 top = max(top, d)
             if any(g):
-                G[d] = g
+                G[d] = _freeze(g)
                 top = max(top, d)
         d += 1
+    # nothing reads the derivatives again: drop them before the series are
+    # built, so that they do not add to the construction's peak memory
+    for Td in T.values():
+        for p in Td:
+            p.derivs = None
 
     space = Space(NF_VARS, order, grading="eps", grading_order=eps_order)
     transform = CoordinateTransform(_assemble(T, space, _decode5), order, eps_order)
@@ -462,13 +509,25 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
     return transform, evolution, report
 
 
+class UnityNormalForm(tuple):
+    """The 4-tuple ``(T, G, leftovers, retained)`` that ``construct_at_unity``
+    returns; ``eigen`` is the decomposition of the unembedded matrix it was
+    built from."""
+
+    def __new__(cls, parts, eigen):
+        self = super().__new__(cls, parts)
+        self.eigen = eigen
+        return self
+
+
 def construct_at_unity(system: SpatialSystem, order=3):
     """Parameter-1 view: the separated normal form of the unembedded system
     (every embedding collapsed at parameter 1), exact rationals.
 
-    Returns ``(T, G, leftovers, retained)``: the transform and the evolution
-    as series vectors over (s1..s4), then the resonant terms the kernel
-    freedom could not remove, as ``(component, monomial, value)`` triples:
+    Returns ``(T, G, leftovers, retained)`` as a ``UnityNormalForm``: the
+    transform and the evolution as series vectors over (s1..s4), then the
+    resonant terms the kernel freedom could not remove, as
+    ``(component, monomial, value)`` triples:
     ``leftovers`` in a slow component (they break the separated form),
     ``retained`` in a fast one (still divisible by its own variable).
     ``leftovers`` is empty through cubic order; genuine obstructions appear
@@ -542,7 +601,11 @@ def construct_at_unity(system: SpatialSystem, order=3):
 
     T1, G1 = _linear_slices(t1, [n * mu for n in _EIGEN_PATTERN])
     G1[0][1 << _SHIFTS[1]] = h  # d s1/dx = s2 at linear order
-    T, G = {1: T1}, {1: G1}
+    T, G = {1: _freeze(T1)}, {1: _freeze(G1)}
+    # T[d-1] stays open through degree d: the knob step writes into it after
+    # the degree-d residual has read it.  ``last`` holds its dicts; it is
+    # frozen again after a write, and the earlier packing is dropped.
+    last = T1
 
     def resonance_class(i, m3, m4):
         if (m4 - m3) != _EIGEN_PATTERN[i]:
@@ -582,7 +645,7 @@ def construct_at_unity(system: SpatialSystem, order=3):
         return rows
 
     def knob_influence(j, key):
-        phi = [{key: t1[c][j]} if t1[c][j] != 0 else {} for c in range(4)]
+        phi = [_pack({key: t1[c][j]} if t1[c][j] != 0 else {}) for c in range(4)]
         out = [{} for _ in range(4)]
         G2 = G.get(2)
         for c in range(4):
@@ -592,9 +655,8 @@ def construct_at_unity(system: SpatialSystem, order=3):
             if G2:
                 for jv in range(4):
                     if G2[jv] and phi[c]:
-                        dphi = _deriv_slice(phi[c], jv)
-                        if dphi:
-                            _mul_slice(dphi, G2[jv], order, 0, out[c], -1)
+                        _mul_slice(_derivative(phi[c], jv), G2[jv], order, 0,
+                                   out[c], -1)
         return in_normal_coords(out)
 
     leftovers = []
@@ -630,6 +692,7 @@ def construct_at_unity(system: SpatialSystem, order=3):
         # kernel assignment can never silently unbalance a quiet slot
         targets = sorted(cross_now, key=lambda t: (t[1], t[0]))
         psi = [{} for _ in range(4)]
+        wrote = False
         if targets and unknowns:
             # residual_after = r + sum(knob dr) - L(psi) at every target, so
             # solve  L(psi) - sum(knob dr) = r  with unused unknowns zero.
@@ -661,10 +724,10 @@ def construct_at_unity(system: SpatialSystem, order=3):
                     # stage B's correction formulas consume these values
                     psi[uj][ukey] = xv
                 else:
-                    Tprev = T.setdefault(d - 1, [{} for _ in range(4)])
                     for c in range(4):
                         if t1[c][uj] != 0:
-                            _acc(Tprev[c], ukey, t1[c][uj] * xv)
+                            _acc(last[c], ukey, t1[c][uj] * xv)
+                    wrote = True
                     for key2, drow in influences[(uj, ukey)].items():
                         row = rvec.setdefault(key2, [Fraction(0)] * 4)
                         for i in range(4):
@@ -718,19 +781,21 @@ def construct_at_unity(system: SpatialSystem, order=3):
                 r = net_residual(i, key)
                 if r != 0:
                     g[i][key] = r
-        Td = _lift(t1, psi, T.get(d, [{} for _ in range(4)]))
-        if any(Td):
-            T[d] = Td
+        if wrote:
+            T[d - 1] = _freeze(last)
+        last = _lift(t1, psi, [{} for _ in range(4)])
+        if any(last):
+            T[d] = _freeze(last)
         if any(g):
-            G[d] = g
+            G[d] = _freeze(g)
         # only true kernel slots may be deferred: a slot with a nonzero
         # nilpotent image would disturb this degree if assigned later
         pending = [(i, key) for (i, key) in cross_now
                    if key not in psi[i] and (key & 15) == 0 and i != 1]
 
     space = Space(NF_STATE, order)
-    return (_assemble(T, space, _decode4), _assemble(G, space, _decode4),
-            leftovers, retained)
+    return UnityNormalForm((_assemble(T, space, _decode4),
+                            _assemble(G, space, _decode4), leftovers, retained), eig)
 
 
 def _state_bindings(system, Tvec):

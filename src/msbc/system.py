@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .linalg import Matrix
 from .series import SeriesVector, Space, TruncatedSeries
 
@@ -62,9 +61,6 @@ class SpatialSystem:
         return SpatialSystem(self.linear + self.eps_linear_matrix(),
                              self.state_quadratic(),
                              label=self.label + "@eps=1" if self.label else "@eps=1")
-
-    def eigenstructure(self):
-        return linalg.eigen(self.linear)
 
     def serialize(self):
         lines = ["matrix"]

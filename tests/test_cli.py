@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from msbc import cli, normalform
+from msbc import cli, linalg, normalform
 from msbc.series import Space, TruncatedSeries
 
 
@@ -129,6 +129,22 @@ def test_derive_builds_each_embedding_once(tmp_path, monkeypatch, small_scenario
     assert run("compare", "--scenario", small_scenario) == built
     assert run("simulate", "--scenario", small_scenario,
                "--mode", "macro-robin") == ([], ["original"])
+
+
+def test_derive_decomposes_each_matrix_once(tmp_path, monkeypatch):
+    # embeddings A and B and the unembedded matrix, each once: the report
+    # prints the decomposition the parameter-1 construction already made
+    matrices = []
+    real = linalg.eigen
+
+    def counted(mat):
+        matrices.append(mat.rows)
+        return real(mat)
+
+    monkeypatch.setattr(linalg, "eigen", counted)
+    assert cli.main(["derive", "--order", "3", "--out", str(tmp_path / "d")]) == 0
+    assert len(matrices) == 3
+    assert all(matrices.count(m) == 1 for m in matrices)
 
 
 def test_derive_rejects_low_order(tmp_path):

@@ -7,6 +7,7 @@ to 0.55 of the last printed unit (the source figures use round-half-away and
 occasionally double rounding, e.g. -2.25 printed as -2.3).
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -359,18 +360,27 @@ def _same_slices(fast, ref):
     assert [repr(c) for c in fast.values()] == [repr(c) for c in ref.values()]
 
 
+def _unpacked(p):
+    """The dict a frozen slice was packed from, after checking its packing."""
+    for k, _, sdeg, edeg in p:
+        assert sdeg == sum(normalform._decode4(k)) and edeg == k >> 16
+    assert p.smax == max((t[2] for t in p), default=0)
+    assert p.emax == max((t[3] for t in p), default=0)
+    return {k: c for k, c, _, _ in p}
+
+
 def test_mul_slice_matches_nested_loop_on_construction_slices(monkeypatch):
     # every product of embedding B's graded construction and of the exact
     # parameter-1 construction is run through both routines and compared
     fast = normalform._mul_slice
     pairs = []
 
-    def checked(d1, d2, order, eps_order, out, scale=1):
+    def checked(p1, p2, order, eps_order, out, scale=1):
         ref = dict(out)
-        _mul_slice_nested(d1, d2, order, eps_order, ref, scale)
-        fast(d1, d2, order, eps_order, out, scale)
+        _mul_slice_nested(_unpacked(p1), _unpacked(p2), order, eps_order, ref, scale)
+        fast(p1, p2, order, eps_order, out, scale)
         _same_slices(out, ref)
-        pairs.append(len(d1) * len(d2))
+        pairs.append(len(p1) * len(p2))
 
     monkeypatch.setattr(normalform, "_mul_slice", checked)
     normalform.construct(system.build_embedding("B"), order=3, eps_order=8)
@@ -395,19 +405,125 @@ def _random_slice(rng, order, eps_top, size, exact=True):
     return out
 
 
+def _paths(p1, p2, order, eps_order):
+    """Which paths ``_mul_slice`` takes: (whole larger slice, filtered)."""
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    fits = [p2.smax <= order - s and p2.emax <= eps_order - e for _, _, s, e in p1]
+    return any(fits), not all(fits)
+
+
+def _check_random_products(rng, exact, cases, degree_of):
+    seen = [0, 0]
+    for _ in range(cases):
+        order = rng.randrange(2, 8)
+        eps_order = rng.randrange(0, 6)
+        sdeg, etop = degree_of(rng, order, eps_order)
+        d1 = _random_slice(rng, sdeg, etop, rng.randrange(0, 12), exact)
+        d2 = _random_slice(rng, sdeg, etop, rng.randrange(0, 12), exact)
+        out = _random_slice(rng, order, eps_order, rng.randrange(0, 8), exact)
+        scale = rng.choice((1, -1, F(3, 2) if exact else 1.1))
+        ref = dict(out)
+        _mul_slice_nested(d1, d2, order, eps_order, ref, scale)
+        p1, p2 = normalform._pack(d1), normalform._pack(d2)
+        if p1 and p2:
+            whole, filtered = _paths(p1, p2, order, eps_order)
+            seen[0] += whole
+            seen[1] += filtered
+        normalform._mul_slice(p1, p2, order, eps_order, out, scale)
+        _same_slices(out, ref)
+    return seen
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_mul_slice_matches_nested_loop_on_random_slices(exact):
     # exact slices cancel often (deletion and re-insertion order); float
     # slices with an inexact scale pin the (c1·scale)·c2 rounding
     rng = random.Random(11)
-    for _ in range(300):
-        order = rng.randrange(2, 8)
-        eps_order = rng.randrange(0, 6)
-        d1 = _random_slice(rng, order, eps_order + 2, rng.randrange(0, 12), exact)
-        d2 = _random_slice(rng, order, eps_order + 2, rng.randrange(0, 12), exact)
-        out = _random_slice(rng, order, eps_order, rng.randrange(0, 8), exact)
-        scale = rng.choice((1, -1, F(3, 2) if exact else 1.1))
+    _check_random_products(rng, exact, 300,
+                           lambda rng, order, eps_order: (order, eps_order + 2))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_mul_slice_whole_and_filtered_paths(exact):
+    # low-degree operands often fit the whole budget, so the larger slice is
+    # used unfiltered for some of its partners and filtered for others
+    rng = random.Random(5)
+
+    def low(rng, order, eps_order):
+        return rng.randrange(order // 2 + 1), rng.randrange(eps_order + 1)
+
+    whole, filtered = _check_random_products(rng, exact, 400, low)
+    assert whole > 50 and filtered > 50
+
+
+def test_mul_slice_deletes_and_reinserts_cancelled_keys():
+    # s1 times s2 cancels the stored s1·s2 term and deletes it; 2 times
+    # s1·s2 re-inserts it at the end, after the keys inserted in between
+    s1, s2 = normalform._encode((1, 0, 0, 0)), normalform._encode((0, 1, 0, 0))
+    one = normalform._encode((0, 0, 0, 0))
+    d1 = {s1: F(1), one: F(2)}
+    d2 = {s2: F(1), s1 + s2: F(-1, 2)}
+    for out in ({s1 + s2: F(-1), 2 * s1: F(3)}, {s1 + s2: -1.0, 2 * s1: 3.0}):
         ref = dict(out)
-        _mul_slice_nested(d1, d2, order, eps_order, ref, scale)
-        normalform._mul_slice(d1, d2, order, eps_order, out, scale)
+        _mul_slice_nested(d1, d2, 3, 0, ref)
+        normalform._mul_slice(normalform._pack(d1), normalform._pack(d2), 3, 0, out)
         _same_slices(out, ref)
+        assert list(out) == [2 * s1, 2 * s1 + s2, s2, s1 + s2] and out[s1 + s2] == -1
+
+
+# sha256 over the graded constructions of both embeddings and the
+# parameter-1 construction: term order, coefficient reprs, resonance
+# entries, leftovers and retained terms.  Any change to the slice kernel
+# must leave every float sum and every insertion order as it is.
+CONSTRUCTIONS_SHA256 = (
+    "03bca84fa109b4c29819e64b733e48ecd1f15d8cdc593b059179debe3389b1cb")
+
+
+def _constructions_digest():
+    h = hashlib.sha256()
+
+    def feed(value):
+        h.update(repr(value).encode())
+        h.update(b"\n")
+
+    for variant in ("A", "B"):
+        emb = system.build_embedding(variant)
+        for order, eps_order in ((3, 48), (2, 48), (4, 10), (3, 6)):
+            transform, evolution, report = normalform.construct(
+                emb, order=order, eps_order=eps_order)
+            for vec in (transform.series, evolution.series):
+                for comp in vec:
+                    feed(list(comp.terms.items()))
+            feed(report.entries)
+    # orders from 4 on have knob writes into the slice below the current degree
+    for order in range(2, 8):
+        T, G, leftovers, retained = normalform.construct_at_unity(
+            system.build_original(), order)
+        for vec in (T, G):
+            for comp in vec:
+                feed(list(comp.terms.items()))
+        feed(leftovers)
+        feed(retained)
+    return h.hexdigest()
+
+
+def test_constructions_bit_identical():
+    assert _constructions_digest() == CONSTRUCTIONS_SHA256
+
+
+def test_each_frozen_slice_is_differentiated_once_per_variable(monkeypatch):
+    real = normalform._derivative
+    built, calls = [], []
+
+    def spy(p, j):
+        calls.append(j)
+        if p.derivs is None or p.derivs[j] is None:
+            built.append((p, j))  # holding p keeps its id unique
+        return real(p, j)
+
+    monkeypatch.setattr(normalform, "_derivative", spy)
+    normalform.construct(system.build_embedding("B"), order=3, eps_order=8)
+    normalform.construct_at_unity(system.build_original(), order=5)
+    assert len({(id(p), j) for p, j in built}) == len(built)
+    assert len(calls) > 2 * len(built)

@@ -75,7 +75,7 @@ def test_embedding_a_eigenstructure():
 def test_eigenstructure_residual_bound_all_systems():
     for s in (system.build_original(), system.build_embedding("A"),
               system.build_embedding("B")):
-        es = s.eigenstructure()
+        es = eigen(s.linear)
         assert max(es.residuals(s.linear)) <= 1e-12
 
 
