@@ -48,6 +48,8 @@ def _parse_boundary_value(text):
         if rhs != "tanhsq":
             raise ScenarioError("unsupported boundary expression %r" % text)
         amp = float(lhs)
+        if not math.isfinite(amp):
+            raise ScenarioError("boundary amplitude must be finite, got %r" % lhs)
         fn = lambda t, _a=amp: _a * _tanhsq(t)
         fn.describe = "%s*tanhsq" % repr(amp)
         return fn

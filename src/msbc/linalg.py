@@ -64,9 +64,6 @@ class Matrix:
             raise LinalgError("shape mismatch")
         return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return Matrix([[-v for v in row] for row in self.rows])
-
     def scaled(self, c):
         c = _frac(c)
         return Matrix([[v * c for v in row] for row in self.rows])
@@ -81,9 +78,6 @@ class Matrix:
                 for i in range(self.n)
             ])
         return self.scaled(other)
-
-    def transpose(self):
-        return Matrix([[self.rows[i][j] for i in range(self.n)] for j in range(self.m)])
 
     def trace(self):
         return sum((self.rows[i][i] for i in range(self.n)), Fraction(0))

@@ -195,8 +195,9 @@ def _derivative(p, j):
     if dp is None:
         sh = _SHIFTS[j]
         unit = 1 << sh
-        dp = p.derivs[j] = _Slice([(k - unit, c * ((k >> sh) & 15), s - 1, e)
-                                   for k, c, s, e in p if (k >> sh) & 15])
+        # at exponent 1 share the coefficient: c * 1 would store a copy
+        dp = p.derivs[j] = _Slice([(k - unit, c if m == 1 else c * m, s - 1, e)
+                                   for k, c, s, e in p if (m := (k >> sh) & 15)])
     return dp
 
 
@@ -360,8 +361,7 @@ def _aligned_eigenbasis(system: SpatialSystem, cmap):
     def dot(row, vec):
         return sum(r * v for r, v in zip(row, vec))
 
-    rows = [cmap.row(i) if exact else [float(x) for x in cmap.row(i)]
-            for i in range(4)]
+    rows = cmap.rows if exact else [[float(x) for x in r] for r in cmap.rows]
     # slow columns: combinations of the kernel with rows 1,2 of the map
     a11, a12 = dot(rows[0], kernel[0]), dot(rows[0], kernel[1])
     a21, a22 = dot(rows[1], kernel[0]), dot(rows[1], kernel[1])
@@ -437,8 +437,8 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
     # map-row content of each column, for keeping the fast columns aligned
     # with rows 3 and 4 at every parameter order (automatic when those rows
     # are left eigenvectors of the base matrix, as for one embedding family)
-    row3 = [sum((cmap.row(2)[c] * one) * t1[c][j] for c in range(4)) for j in range(4)]
-    row4 = [sum((cmap.row(3)[c] * one) * t1[c][j] for c in range(4)) for j in range(4)]
+    row3 = [sum((cmap.rows[2][c] * one) * t1[c][j] for c in range(4)) for j in range(4)]
+    row4 = [sum((cmap.rows[3][c] * one) * t1[c][j] for c in range(4)) for j in range(4)]
 
     quad, N, _ = _perturbation_shape(system, one)
     lam = [n * mu for n in _EIGEN_PATTERN]
@@ -559,7 +559,7 @@ def construct_at_unity(system: SpatialSystem, order=3):
     if len(kernel) != 1:
         raise ConstructionRefused("collapsed zero eigenspace must be a single line")
     c1 = kernel[0]
-    s = dot(cmap.row(0), c1)
+    s = dot(cmap.rows[0], c1)
     if s == 0:
         raise ConstructionRefused("slow eigenvector orthogonal to the mean row")
     c1 = [x / s for x in c1]
@@ -570,18 +570,18 @@ def construct_at_unity(system: SpatialSystem, order=3):
     c2 = [x / s for x in c2]
     # normalise the generalised column against map rows 1 and 2
     #   c2 -> c2 + t*c1 with row1·c2 = 0, then scale pair so row2·c2 = 1
-    t = -dot(cmap.row(0), c2) / dot(cmap.row(0), c1)
+    t = -dot(cmap.rows[0], c2) / dot(cmap.rows[0], c1)
     c2 = [x + t * y for x, y in zip(c2, c1)]
-    s2 = dot(cmap.row(1), c2)
+    s2 = dot(cmap.rows[1], c2)
     if s2 == 0:
         raise ConstructionRefused("generalised direction orthogonal to the gradient row")
     c2 = [x / s2 for x in c2]
     c1 = [x * s2 for x in c1]  # keeps A·c2 = c1 with a unit nilpotent entry
-    s1 = dot(cmap.row(0), c1)
+    s1 = dot(cmap.rows[0], c1)
     c1 = [x / s1 for x in c1]
     c2 = [x / s1 for x in c2]
-    cols = [c1, c2, _fast_column(by_val[-mu], cmap.row(2)),
-            _fast_column(by_val[mu], cmap.row(3))]
+    cols = [c1, c2, _fast_column(by_val[-mu], cmap.rows[2]),
+            _fast_column(by_val[mu], cmap.rows[3])]
     t1 = [[cols[j][i] for j in range(4)] for i in range(4)]
     t1m = linalg.Matrix(t1)
     t1inv_m = t1m.inverse()

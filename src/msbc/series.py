@@ -38,29 +38,6 @@ def coerce_coeff(value):
     raise TypeError("unsupported coefficient type: %s" % type(value).__name__)
 
 
-def round_sig(x, sig=2):
-    """Round a Fraction (or float) to ``sig`` significant figures.
-
-    Uses round-half-even on the leading significant digits and returns a
-    Fraction, so comparisons against printed decimal values stay exact.
-    """
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    mag = abs(x)
-    n = 0
-    if mag >= 1:
-        while mag >= 10:
-            mag /= 10
-            n += 1
-    else:
-        while mag < 1:
-            mag *= 10
-            n -= 1
-    shift = Fraction(10) ** (n - sig + 1)
-    return round(x / shift) * shift
-
-
 class Space:
     """Variable set plus truncation caps shared by compatible series.
 
@@ -209,13 +186,6 @@ class TruncatedSeries:
     def constant_term(self):
         return self.terms.get((0,) * len(self.space.names), Fraction(0))
 
-    def degree(self):
-        """Largest counted degree present (-1 for the zero series)."""
-        if not self.terms:
-            return -1
-        deg = self.space.degree
-        return max(deg(e) for e in self.terms)
-
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.space, other)
@@ -246,9 +216,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.space, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -281,31 +248,12 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise SeriesError("series powers must be non-negative integers")
-        result = TruncatedSeries.constant(self.space, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             if not self.terms:
                 return coerce_coeff(other) == 0
             return self.constant_term() == coerce_coeff(other) and len(self.terms) == 1
         return self.space.same_vars(other.space) and self.terms == other.terms
-
-    def truncated(self, space):
-        """Refilter the terms into another space over the same variables."""
-        if not self.space.same_vars(space):
-            raise SeriesError("mismatched variable sets")
-        return TruncatedSeries._raw(space, {e: c for e, c in self.terms.items() if space.admits(e)})
 
     def at_zero(self, *names):
         """Restrict by setting the named variables to zero."""
@@ -564,9 +512,6 @@ class SeriesVector:
     def __eq__(self, other):
         return isinstance(other, SeriesVector) and self.components == other.components
 
-    def substitute(self, bindings):
-        return SeriesVector([c.substitute(bindings) for c in self.components])
-
     def map(self, fn):
         return SeriesVector([fn(c) for c in self.components])
 
@@ -574,25 +519,24 @@ class SeriesVector:
         return "SeriesVector(%r)" % (self.components,)
 
 
-def solve_implicit_system(equations, unknowns, knowns, values=None):
+def solve_implicit_system(equations, unknowns, knowns):
     """Revert a truncated series system.
 
     ``equations[i]`` is a series over one shared space expressing a known
     quantity in terms of the unknowns and the remaining knowns; its value is
-    the variable ``values[i]`` (by default the last ``len(equations)`` names
-    in ``knowns``).  Returns one series per unknown, in the knowns, such that
-    back-substitution reproduces the value variables up to truncation.
-    The block linear in the unknowns must be exact and invertible.
+    the i-th of the last ``len(equations)`` names in ``knowns``.  Returns
+    one series per unknown, in the knowns, such that back-substitution
+    reproduces the value variables up to truncation.  The block linear in
+    the unknowns must be exact and invertible.
     """
     eqs = list(equations)
     sp = eqs[0].space
     m = len(eqs)
     if len(unknowns) != m:
         raise SeriesError("need as many unknowns as equations")
-    if values is None:
-        if len(knowns) < m:
-            raise SeriesError("knowns must include one value variable per equation")
-        values = list(knowns)[-m:]
+    if len(knowns) < m:
+        raise SeriesError("knowns must include one value variable per equation")
+    values = list(knowns)[-m:]
     uidx = [sp.index(u) for u in unknowns]
     width = len(sp.names)
 

@@ -82,6 +82,8 @@ class SolveConfig:
     atol: float = 1e-8
 
     def __post_init__(self):
+        if self.bc_mode not in ("dirichlet-heuristic", "robin-derived", "robin-linearised"):
+            raise ValueError("unknown bc_mode %r" % self.bc_mode)
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
         if self.rtol <= 0 or self.atol <= 0:

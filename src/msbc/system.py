@@ -62,15 +62,6 @@ class SpatialSystem:
                              self.state_quadratic(),
                              label=self.label + "@eps=1" if self.label else "@eps=1")
 
-    def serialize(self):
-        lines = ["matrix"]
-        for row in self.linear.rows:
-            lines.append(" ".join("%d/%d" % (v.numerator, v.denominator) for v in row))
-        for name, comp in zip(("a", "b", "ap", "bp"), self.nonlinear):
-            lines.append("perturbation d%s/dx" % name)
-            lines.extend(comp.to_lines())
-        return "\n".join(lines) + "\n"
-
 
 def build_original():
     """The unembedded spatial system."""
@@ -126,27 +117,16 @@ def build_embedding(variant):
     return SpatialSystem(linear, nonlinear, label="embedding-%s" % variant)
 
 
-@dataclass(frozen=True)
-class CoordinateMap:
+def coordinate_map():
     """Linear map from the state (a, b, a', b') to (s1, s2, s3, s4).
 
     s1 is the mean field, s2 its spatial gradient; s3 and s4 parametrise the
     stable and unstable directions.  Rows 3 and 4 are left eigenvectors of
     the embedded linear matrices for the decaying and growing rates.
     """
-
-    matrix: Matrix
-    inverse: Matrix
-
-    def row(self, i):
-        return list(self.matrix.rows[i])
-
-
-def coordinate_map():
-    m = Matrix([
+    return Matrix([
         [Fraction(1, 2), Fraction(1, 2), 0, 0],
         [0, 0, Fraction(1, 2), Fraction(1, 2)],
         [Fraction(3, 8), Fraction(-3, 8), Fraction(-3, 8), Fraction(9, 8)],
         [Fraction(3, 8), Fraction(-3, 8), Fraction(9, 8), Fraction(-3, 8)],
     ])
-    return CoordinateMap(matrix=m, inverse=m.inverse())

@@ -280,6 +280,11 @@ def test_scenario_parse_errors(tmp_path):
     f3.write_text("[scenario]\nt_end = 2\nsnapshots = 5\n")
     with pytest.raises(cli.ScenarioError):
         cli.parse_scenario(str(f3))
+    for amp in ("nan", "inf", "-inf"):
+        f4 = tmp_path / "amp.cfg"
+        f4.write_text("[boundary]\na0 = %s * tanhsq\n" % amp)
+        with pytest.raises(cli.ScenarioError, match="finite"):
+            cli.parse_scenario(str(f4))
 
 
 def test_compare_flags_unvalidated_amplitude(tmp_path):

@@ -35,6 +35,16 @@ def test_config_validation():
         SolveConfig(grid=g, t_end=1.0, data=zero_data(), snapshots=(2.0,))
 
 
+def test_config_rejects_unknown_bc_mode():
+    # a mistyped mode must not fall through to the Robin closure
+    g = Grid1D(L=30.0, n=16)
+    for mode in ("dirichlet-heuristic", "robin-derived", "robin-linearised"):
+        assert SolveConfig(grid=g, t_end=1.0, data=zero_data(), bc_mode=mode).bc_mode == mode
+    for mode in ("robin", "robin-linearized", "Dirichlet-heuristic", ""):
+        with pytest.raises(ValueError, match="bc_mode"):
+            SolveConfig(grid=g, t_end=1.0, data=zero_data(), bc_mode=mode)
+
+
 def test_micro_zero_data_stays_zero():
     cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=5.0, data=zero_data(),
                       snapshots=(2.5, 5.0))
