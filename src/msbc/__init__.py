@@ -6,20 +6,32 @@ projects microscale Dirichlet data along the resulting isochrons, and
 assembles nonlinear Robin boundary conditions for the macroscale mean-field
 model.  Method-of-lines solvers for both the microscale pair and the
 macroscale equation verify the derived conditions numerically.
+
+The solver names load ``msbc.solvers``, and with it scipy, on first use;
+the derivation never imports scipy.
 """
 
 __version__ = "0.1.0"
 
-from .boundary import (BoundaryData, RobinBC, assemble_left_bc,  # noqa: F401
-                       assemble_right_bc, centre_stable_restriction,
-                       derive_boundary_conditions, revert_boundary)
+from .boundary import (BoundaryData, RobinBC, SolverError,  # noqa: F401
+                       assemble_left_bc, assemble_right_bc,
+                       centre_stable_restriction, derive_boundary_conditions,
+                       revert_boundary)
 from .normalform import (ConstructionRefused, construct,  # noqa: F401
                          construct_at_unity, cross_validate_embeddings,
                          verify_conjugacy)
 from .series import (ReversionError, SeriesError, SeriesVector,  # noqa: F401
                      Space, TruncatedSeries, solve_implicit_system)
-from .solvers import (Grid1D, SolveConfig, SolverError,  # noqa: F401
-                      interior_error, reconstruct_micro, solve_macroscale,
-                      solve_microscale)
 from .system import (SpatialSystem, build_embedding,  # noqa: F401
                      build_original, coordinate_map)
+
+_SOLVER_NAMES = frozenset({"Grid1D", "SolveConfig", "interior_error",
+                           "reconstruct_micro", "solve_macroscale",
+                           "solve_microscale"})
+
+
+def __getattr__(name):
+    if name in _SOLVER_NAMES:
+        from . import solvers
+        return getattr(solvers, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -26,6 +26,11 @@ REVERT_VARS = ("s1_0", "s3_0", "s2_0", "a0", "b0")
 DATA_VARS = ("a0", "b0")
 
 
+class SolverError(RuntimeError):
+    """A numerical failure (exit code 2).  Defined here, not in ``solvers``,
+    so the derivation can raise it without importing scipy."""
+
+
 @dataclass(frozen=True)
 class BoundaryConstraint:
     """Microscale boundary values as series in the boundary coordinates

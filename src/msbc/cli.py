@@ -6,6 +6,10 @@ Verbs:
   simulate --scenario FILE --mode {micro|macro-dirichlet|macro-robin|macro-robin-linear} --out DIR
   compare  --scenario FILE --out DIR [--window LO HI]
 
+Only the scenario commands (``simulate``, ``compare``, and anything that calls
+``parse_scenario``) import ``msbc.solvers`` and with it scipy; ``derive`` is
+exact algebra and never loads the solver stack.
+
 Scenario files are flat ``key = value`` text with bracketed section headers;
 see ``parse_scenario``.  Every command writes deterministic output: rerunning
 with identical inputs produces byte-identical files.  Exit codes: 0 success,
@@ -19,9 +23,8 @@ import math
 import os
 import sys
 
-from . import __version__, boundary, normalform, solvers, system
-from .boundary import BoundaryData
-from .solvers import Grid1D, SolveConfig, SolverError
+from . import __version__, boundary, normalform, system
+from .boundary import BoundaryData, SolverError
 
 MODES = ("micro", "macro-dirichlet", "macro-robin", "macro-robin-linear")
 _MODE_BC = {
@@ -74,6 +77,8 @@ class Scenario:
         self.order = order
 
     def config(self, bc_mode="dirichlet-heuristic"):
+        from .solvers import SolveConfig
+
         return SolveConfig(grid=self.grid, t_end=self.t_end, data=self.data,
                            snapshots=self.snapshots, bc_mode=bc_mode,
                            rtol=self.rtol, atol=self.atol)
@@ -96,6 +101,8 @@ class Scenario:
 
 
 def parse_scenario(path):
+    from . import solvers
+
     sections = {}
     current = None
     try:
@@ -120,7 +127,7 @@ def parse_scenario(path):
     bd = sections.get("boundary", {})
     try:
         name = sc.get("name", os.path.splitext(os.path.basename(path))[0])
-        grid = Grid1D(L=float(sc.get("l", 30.0)), n=int(sc.get("n", 600)))
+        grid = solvers.Grid1D(L=float(sc.get("l", 30.0)), n=int(sc.get("n", 600)))
         t_end = float(sc.get("t_end", 21.0))
         snaps = tuple(float(s) for s in sc.get("snapshots", repr(t_end)).split(","))
         rtol = float(sc.get("rtol", 1e-8))
@@ -310,6 +317,8 @@ def _write_csvs(traj, scenario_name, mode, out_dir):
 
 
 def _run_mode(scenario, mode, deriv=None):
+    from . import solvers
+
     if mode == "micro":
         return solvers.solve_microscale(scenario.config())
     bc_mode = _MODE_BC[mode]
@@ -341,8 +350,15 @@ def cmd_simulate(scenario_file, mode, out_dir):
     return 0
 
 
-def cmd_compare(scenario_file, out_dir, window=solvers.DEFAULT_WINDOW):
+def cmd_compare(scenario_file, out_dir, window=None):
+    from . import solvers
+
     scenario = parse_scenario(scenario_file)
+    window = solvers.DEFAULT_WINDOW if window is None else tuple(window)
+    try:
+        solvers.interior_mask(scenario.grid, window)
+    except ValueError as ex:
+        raise ScenarioError(str(ex)) from None
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=scenario.order, data=scenario.data)
     _, cross = _cross_validate(deriv)
@@ -445,7 +461,7 @@ def build_parser():
     p = sub.add_parser("compare", help="micro vs macro closures")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=float, nargs=2, default=list(solvers.DEFAULT_WINDOW))
+    p.add_argument("--window", type=float, nargs=2)
     return parser
 
 
@@ -461,7 +477,7 @@ def main(argv=None):
         if args.command == "simulate":
             return cmd_simulate(args.scenario, args.mode, args.out)
         if args.command == "compare":
-            return cmd_compare(args.scenario, args.out, tuple(args.window))
+            return cmd_compare(args.scenario, args.out, args.window)
     except (ScenarioError, ValueError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1

@@ -21,19 +21,16 @@ derivative, found by differentiating the quadratic implicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .boundary import BoundaryData, RobinBC
+from .boundary import BoundaryData, RobinBC, SolverError  # noqa: F401
 
 DEFAULT_WINDOW = (5.0, 25.0)
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -392,17 +389,25 @@ class ErrorMetrics:
     Linf_fields: float
 
 
+def interior_mask(grid: Grid1D, window):
+    """The grid nodes inside ``window`` = (lo, hi); raises ValueError unless
+    lo < hi are finite and the window holds at least one node."""
+    lo, hi = window
+    xs = grid.nodes()
+    mask = (xs >= lo) & (xs <= hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and mask.any()):
+        raise ValueError("interior window %r must be finite with lo < hi and hold "
+                         "a grid node" % (window,))
+    return mask
+
+
 def interior_error(micro: MicroState, macro: MacroState, grid: Grid1D,
                    window=DEFAULT_WINDOW):
     """Interior disagreement between the macroscale solution and the
     microscale reference, over the window where the mean model is valid."""
     if abs(micro.t - macro.t) > 1e-9 * max(1.0, abs(micro.t)):
         raise ValueError("states are at different times")
-    xs = grid.nodes()
-    lo, hi = window
-    mask = (xs >= lo) & (xs <= hi)
-    if not mask.any():
-        raise ValueError("empty interior window %r" % (window,))
+    mask = interior_mask(grid, window)
     mean = micro.mean()
     diff = macro.C[mask] - mean[mask]
     linf = float(np.max(np.abs(diff)))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from msbc import cli, linalg, normalform
+from msbc import cli, linalg, normalform, solvers
 from msbc.series import Space, TruncatedSeries
 
 
@@ -223,6 +223,23 @@ def test_compare_custom_window(small_scenario, tmp_path):
     assert cli.main(["compare", "--scenario", small_scenario, "--out", str(out),
                      "--window", "8", "20"]) == 0
     assert "window [8, 20]" in read(out / "small_comparison.txt")
+
+
+@pytest.mark.parametrize("window", [("25", "5"), ("10", "10"), ("nan", "25"),
+                                    ("5", "inf"), ("40", "50"), ("10", "10.1")])
+def test_compare_rejects_bad_window_before_any_work(small_scenario, tmp_path,
+                                                     monkeypatch, capsys, window):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("compare did work before validating --window")
+
+    monkeypatch.setattr(normalform, "construct_at_unity", must_not_run)
+    monkeypatch.setattr(solvers, "solve_microscale", must_not_run)
+    monkeypatch.setattr(solvers, "solve_macroscale", must_not_run)
+    out = tmp_path / "cmpbad"
+    assert cli.main(["compare", "--scenario", small_scenario, "--out", str(out),
+                     "--window", *window]) == 1
+    assert "interior window" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_validation_failure(tmp_path):
