@@ -139,10 +139,13 @@ def parse_scenario(path):
             aL=_parse_boundary_value(bd.get("al", "0")),
             bL=_parse_boundary_value(bd.get("bl", "0")),
         )
+        # the solver's own checks (finite t_end and tolerances, snapshot
+        # times in [0, t_end]), so a bad number exits 1 before any
+        # construction or solve
+        solvers.SolveConfig(grid=grid, t_end=t_end, data=data, snapshots=snaps,
+                            rtol=rtol, atol=atol)
     except (ValueError, TypeError) as ex:
         raise ScenarioError("bad scenario %s: %s" % (path, ex)) from None
-    if any(s > t_end for s in snaps):
-        raise ScenarioError("snapshot beyond t_end in %s" % path)
     return Scenario(name, grid, t_end, snaps, data, rtol, atol, order)
 
 

@@ -17,6 +17,19 @@ branch nearest the previous end value (which tracks the branch connected to
 the linear condition) and falling back to the vertex of the quadratic when a
 trial state has no real root.  The Jacobian's end rows carry the end value's
 derivative, found by differentiating the quadratic implicitly.
+
+The macroscale Jacobian is tridiagonal (the end values depend only on the
+two interior values nearest their end, which adds to the end rows' diagonal
+and off-diagonal), so it is held as three diagonals in LAPACK band order:
+rows upper, main, lower, each of length m, with ``J[0, 0]`` and
+``J[2, m - 1]`` unused.  ``_TridiagonalBDF`` runs scipy's BDF unchanged but
+for its Newton matrix ``I - c J``, which it keeps in the same storage and
+factors with LAPACK's ``dgttrf`` (Gaussian elimination with partial
+pivoting) and solves with ``dgttrs``: O(m) work per factorisation instead of
+assembling a sparse matrix and calling SuperLU.  A zero pivot raises
+``SolverError``.  The microscale Jacobian couples the two streams at offset
++-m, outside any narrow band, and its solve needs only about 30
+factorisations, so it stays on scipy's sparse LU.
 """
 
 from __future__ import annotations
@@ -26,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import BDF, solve_ivp
+from scipy.linalg import lapack
 
 from .boundary import BoundaryData, RobinBC, SolverError  # noqa: F401
 
@@ -41,8 +55,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 8:
             raise ValueError("grid needs at least 8 intervals")
-        if self.L <= 0:
-            raise ValueError("domain length must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError("domain length must be finite and positive")
 
     @property
     def dx(self):
@@ -81,13 +95,13 @@ class SolveConfig:
     def __post_init__(self):
         if self.bc_mode not in ("dirichlet-heuristic", "robin-derived", "robin-linearised"):
             raise ValueError("unknown bc_mode %r" % self.bc_mode)
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError("t_end must be finite and positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.rtol, self.atol)):
+            raise ValueError("tolerances must be finite and positive")
         snaps = tuple(float(s) for s in (self.snapshots or (self.t_end,)))
-        if any(s < 0 or s > self.t_end + 1e-12 for s in snaps):
-            raise ValueError("snapshot times must lie in [0, t_end]")
+        if not all(math.isfinite(s) and 0 <= s <= self.t_end for s in snaps):
+            raise ValueError("snapshot times must be finite and lie in [0, t_end]")
         self.snapshots = tuple(sorted(snaps))
 
 
@@ -263,7 +277,9 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     end values and records them in ``prev``, the previous end values each
     Robin root is chosen against; ``jac`` reads ``prev`` but never writes it.
     The Jacobian is tridiagonal: the Robin end values depend on the first two
-    interior values at their end, which only adds to the end rows.
+    interior values at their end, which only adds to the end rows.  ``jac``
+    returns it as a (3, m) band: rows upper, main, lower (see the module
+    docstring).
     """
     grid, data = cfg.grid, cfg.data
     n, dx = grid.n, grid.dx
@@ -309,9 +325,11 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
         C[0], C[n] = c0, cn
         Ci = C[1:n]
         Cx = (C[2:] - C[:-2]) * inv2dx
-        diag = 1.5 * Ci * Ci - 2.0 * Cx - 8.0 * invdx2
-        up = 4.0 * invdx2 - Ci[:-1] / dx       # d(dC_i)/d(C_{i+1})
-        lo = 4.0 * invdx2 + Ci[1:] / dx        # d(dC_i)/d(C_{i-1})
+        J = np.zeros((3, m))
+        up, diag, lo = J[0, 1:], J[1], J[2, :-1]
+        diag[:] = 1.5 * Ci * Ci - 2.0 * Cx - 8.0 * invdx2
+        up[:] = 4.0 * invdx2 - Ci[:-1] / dx    # d(dC_i)/d(C_{i+1})
+        lo[:] = 4.0 * invdx2 + Ci[1:] / dx     # d(dC_i)/d(C_{i-1})
         # the end rows see the end values through their outer neighbours
         k0 = 4.0 * invdx2 + Ci[0] / dx
         kn = 4.0 * invdx2 - Ci[-1] / dx
@@ -319,9 +337,49 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
         up[0] += k0 * dl2
         diag[-1] += kn * dr1
         lo[-1] += kn * dr2
-        return sparse.diags_array([lo, diag, up], offsets=(-1, 0, 1), format="csc")
+        return J
 
     return rhs, jac, closures, prev
+
+
+class _TridiagonalBDF(BDF):
+    """scipy's BDF with a tridiagonal Jacobian: ``jac(t, y)`` returns the
+    (3, m) band, and the Newton matrix ``I - c J`` is factored by LAPACK's
+    ``dgttrf`` and solved by ``dgttrs`` in the same storage."""
+
+    def __init__(self, fun, t0, y0, t_bound, jac, **options):
+        m = len(y0)
+        # a constant sparse placeholder takes BDF's sparse branch, so it
+        # never allocates a dense m x m identity, and leaves njev at 0
+        super().__init__(fun, t0, y0, t_bound, jac=sparse.csc_array((m, m)),
+                         **options)
+
+        def band_jac(t, y):
+            self.njev += 1
+            return jac(t, y)
+
+        self.jac = band_jac
+        self.J = band_jac(self.t, self.y)
+        self.I = np.zeros((3, m))
+        self.I[1] = 1.0
+        self.lu = self._factor
+        self.solve_lu = self._solve
+
+    def _factor(self, A):
+        self.nlu += 1
+        *lu, info = lapack.dgttrf(A[2, :-1], A[1], A[0, 1:], overwrite_dl=1,
+                                  overwrite_d=1, overwrite_du=1)
+        if info != 0:
+            raise SolverError("singular Newton matrix at t=%.4g (dgttrf info %d)"
+                              % (self.t, info))
+        return lu
+
+    def _solve(self, lu, b):
+        x, info = lapack.dgttrs(*lu, b, overwrite_b=1)
+        if info != 0:
+            raise SolverError("Newton solve failed at t=%.4g (dgttrs info %d)"
+                              % (self.t, info))
+        return x
 
 
 def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
@@ -342,7 +400,7 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
 
     y0 = np.zeros(n - 1) if initial is None else np.asarray(initial, dtype=float)[1:n]
 
-    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, method="BDF",
+    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, method=_TridiagonalBDF,
                     t_eval=list(cfg.snapshots), rtol=cfg.rtol, atol=cfg.atol,
                     jac=jac)
     if not sol.success:

@@ -302,6 +302,28 @@ def test_scenario_parse_errors(tmp_path):
         f4.write_text("[boundary]\na0 = %s * tanhsq\n" % amp)
         with pytest.raises(cli.ScenarioError, match="finite"):
             cli.parse_scenario(str(f4))
+    for line in ("L = inf", "L = nan", "t_end = inf", "t_end = nan", "rtol = nan",
+                 "atol = inf", "snapshots = nan", "snapshots = 7, nan",
+                 "snapshots = inf"):
+        f5 = tmp_path / "nonfinite.cfg"
+        f5.write_text("[scenario]\n%s\n" % line)
+        with pytest.raises(cli.ScenarioError, match="finite"):
+            cli.parse_scenario(str(f5))
+
+
+@pytest.mark.parametrize("line", ("L = inf", "L = nan", "t_end = inf", "rtol = nan",
+                                  "snapshots = nan", "snapshots = 7, nan"))
+def test_simulate_rejects_nonfinite_numbers_before_any_work(tmp_path, monkeypatch, line):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no solve may start on a bad scenario")
+
+    monkeypatch.setattr(solvers, "solve_macroscale", forbidden)
+    scen = tmp_path / "bad.cfg"
+    scen.write_text("[scenario]\nt_end = 21\n%s\n" % line)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(scen), "--mode", "macro-dirichlet",
+                     "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_compare_flags_unvalidated_amplitude(tmp_path):

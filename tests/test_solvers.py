@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+from scipy import sparse
 
 from msbc import cli, solvers
 from msbc.boundary import BoundaryData
@@ -20,6 +22,9 @@ def test_grid_validation():
         Grid1D(L=30.0, n=4)
     with pytest.raises(ValueError):
         Grid1D(L=-1.0, n=32)
+    for L in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Grid1D(L=L, n=32)
     g = Grid1D(L=30.0, n=600)
     assert g.dx == pytest.approx(0.05)
     assert len(g.nodes()) == 601
@@ -33,6 +38,14 @@ def test_config_validation():
         SolveConfig(grid=g, t_end=1.0, data=zero_data(), rtol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(grid=g, t_end=1.0, data=zero_data(), snapshots=(2.0,))
+    for bad in ({"t_end": math.inf}, {"t_end": math.nan}, {"rtol": math.nan},
+                {"atol": math.inf}, {"snapshots": (math.nan,)},
+                {"snapshots": (0.5, math.nan)}, {"snapshots": (math.inf,)}):
+        with pytest.raises(ValueError, match="finite"):
+            SolveConfig(grid=g, data=zero_data(), **{"t_end": 1.0, **bad})
+    # solve_ivp rejects any t_eval beyond t_end, however close
+    with pytest.raises(ValueError, match=r"\[0, t_end\]"):
+        SolveConfig(grid=g, t_end=1.0, data=zero_data(), snapshots=(1.0 + 5e-13,))
 
 
 def test_config_rejects_unknown_bc_mode():
@@ -174,8 +187,13 @@ def test_exchange_only_conserves_total():
 
 def _assert_jacobian_matches(J, rhs, t, y, h=1e-6):
     """An analytic Jacobian at (t, y) against a central difference of the
-    same right-hand side, to a relative 1e-6."""
-    J = J.toarray()
+    same right-hand side, to a relative 1e-6.  ``J`` is sparse or the
+    macroscale (3, m) band: rows upper, main, lower."""
+    if sparse.issparse(J):
+        J = J.toarray()
+    else:
+        up, diag, lo = J
+        J = np.diag(diag) + np.diag(up[1:], 1) + np.diag(lo[:-1], -1)
     fd = np.empty_like(J)
     for k in range(len(y)):
         e = np.zeros_like(y)
@@ -284,6 +302,105 @@ def test_macro_linearised_robin_jacobian(derivation):
     _, (rhs, jac, _, _) = _macro("robin-linearised", bcs)
     y = _profile(31, 6)
     _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y)
+
+
+def _band_to_csc(J):
+    return sparse.diags_array([J[2, :-1], J[1], J[0, 1:]], offsets=(-1, 0, 1),
+                              format="csc")
+
+
+def _sweep_config(derivation, mode, n=300):
+    cfg = SolveConfig(grid=Grid1D(L=30.0, n=n), t_end=21.0, data=derivation["data"],
+                      snapshots=(7.0, 14.0, 21.0), bc_mode=mode)
+    bcs = derivation["bc_left"], derivation["bc_right"]
+    if mode == "robin-linearised":
+        bcs = bcs[0].linearized(), bcs[1].linearized()
+    return cfg, (() if mode == "dirichlet-heuristic" else bcs)
+
+
+@pytest.mark.parametrize("mode", ("dirichlet-heuristic", "robin-derived",
+                                  "robin-linearised"))
+def test_band_solve_matches_sparse_lu_oracle(derivation, monkeypatch, mode):
+    # the oracle: stock BDF on the same diagonals as a csc matrix, so SuperLU
+    # factors the Newton matrix; only the rounding of the solves may differ
+    cfg, bcs = _sweep_config(derivation, mode)
+    counts = []
+
+    def recorded(oracle):
+        def ivp(fun, span, y0, *, method, jac, **kwargs):
+            assert method is solvers._TridiagonalBDF
+            if oracle:
+                method, band = "BDF", jac
+                jac = lambda t, y: _band_to_csc(band(t, y))
+            sol = scipy.integrate.solve_ivp(fun, span, y0, method=method, jac=jac,
+                                            **kwargs)
+            counts.append((sol.nfev, sol.njev, sol.nlu))
+            return sol
+        return ivp
+
+    monkeypatch.setattr(solvers, "solve_ivp", recorded(False))
+    band = solvers.solve_macroscale(cfg, *bcs)
+    monkeypatch.setattr(solvers, "solve_ivp", recorded(True))
+    oracle = solvers.solve_macroscale(cfg, *bcs)
+    assert counts[0] == counts[1]
+    assert [st.t for st in band.states] == [st.t for st in oracle.states] == [7.0, 14.0, 21.0]
+    for new, old in zip(band.states, oracle.states):
+        np.testing.assert_allclose(new.C, old.C, rtol=1e-10, atol=0.0)
+
+
+def test_macro_solve_never_builds_a_sparse_factor(derivation, monkeypatch):
+    # the band solver relies on BDF's internals (J, jac, I, lu, solve_lu); a
+    # scipy that renames them would fall back to SuperLU or a dense identity
+    def no_splu(A):
+        raise AssertionError("the macroscale solve called splu")
+
+    monkeypatch.setattr(scipy.integrate._ivp.bdf, "splu", no_splu)
+    solvers_seen = []
+
+    class Recorded(solvers._TridiagonalBDF):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers_seen.append(self)
+
+    monkeypatch.setattr(solvers, "_TridiagonalBDF", Recorded)
+    cfg, bcs = _sweep_config(derivation, "robin-derived", n=64)
+    solvers.solve_macroscale(cfg, *bcs)
+    (solver,) = solvers_seen
+    assert solver.I.shape == solver.J.shape == (3, 63)
+    assert solver.nlu > 0
+    # the same patch does catch a sparse BDF solve
+    cfg = SolveConfig(grid=Grid1D(L=30.0, n=16), t_end=1.0, data=reference_data())
+    with pytest.raises(AssertionError, match="splu"):
+        solvers.solve_microscale(cfg)
+
+
+def _band_solver(m=8):
+    """A band BDF on dy/dt = -y, whose Jacobian band is -I."""
+    band = np.zeros((3, m))
+    band[1] = -1.0
+    return solvers._TridiagonalBDF(lambda t, y: -y, 0.0, np.ones(m), 1.0,
+                                   jac=lambda t, y: band)
+
+
+def test_band_factor_solves_the_tridiagonal_system():
+    rng = np.random.default_rng(8)
+    solver = _band_solver()
+    A = rng.standard_normal((3, 8))
+    A[0, 0] = A[2, -1] = 0.0
+    dense = np.diag(A[1]) + np.diag(A[0, 1:], 1) + np.diag(A[2, :-1], -1)
+    b = rng.standard_normal(8)
+    x = solver.solve_lu(solver.lu(A.copy()), b.copy())
+    np.testing.assert_allclose(dense @ x, b, rtol=1e-12, atol=1e-12)
+    assert solver.nlu == 1
+
+
+def test_band_factor_rejects_a_singular_band():
+    solver = _band_solver()
+    A = np.zeros((3, 8))
+    A[1] = 1.0
+    A[1, 3] = 0.0                   # column 3 is zero: exactly singular
+    with pytest.raises(SolverError, match=r"singular Newton matrix at t=0\b"):
+        solver.lu(A)
 
 
 def test_robin_boundary_residual_after_steps(reference_run):
