@@ -18,18 +18,25 @@ the linear condition) and falling back to the vertex of the quadratic when a
 trial state has no real root.  The Jacobian's end rows carry the end value's
 derivative, found by differentiating the quadratic implicitly.
 
+Both solves run on ``solve_ivp``, a variable-order NDF/BDF integrator
+(Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997; Byrne & Hindmarsh,
+ACM TOMS 1, 1975) transcribed from scipy's BDF for forward integration with
+a band Jacobian.  Each Jacobian is held in LAPACK band storage: with ``kl``
+sub- and ``ku`` super-diagonals, row ``ku + i - j`` of a (kl + ku + 1, m)
+array holds entry (i, j), and the corner entries that fall outside the
+matrix are unused.  The Newton matrix ``I - c J`` is kept in the same
+storage and factored by LAPACK with partial pivoting, O(m) work per
+factorisation; a zero pivot raises ``SolverError``.
+
 The macroscale Jacobian is tridiagonal (the end values depend only on the
 two interior values nearest their end, which adds to the end rows' diagonal
-and off-diagonal), so it is held as three diagonals in LAPACK band order:
-rows upper, main, lower, each of length m, with ``J[0, 0]`` and
-``J[2, m - 1]`` unused.  ``_TridiagonalBDF`` runs scipy's BDF unchanged but
-for its Newton matrix ``I - c J``, which it keeps in the same storage and
-factors with LAPACK's ``dgttrf`` (Gaussian elimination with partial
-pivoting) and solves with ``dgttrs``: O(m) work per factorisation instead of
-assembling a sparse matrix and calling SuperLU.  A zero pivot raises
-``SolverError``.  The microscale Jacobian couples the two streams at offset
-+-m, outside any narrow band, and its solve needs only about 30
-factorisations, so it stays on scipy's sparse LU.
+and off-diagonal): a (3, m) band, rows upper, main, lower, factored by
+``dgttrf`` and solved by ``dgttrs``.  In the microscale pair each stream is
+tridiagonal and the exchange couples a_i with b_i.  Stored stream after
+stream, that coupling would sit m places off the diagonal; the unknowns are
+therefore interleaved as (a_1, b_1, a_2, b_2, ...), which brings it next to
+the diagonal and each stream's neighbours two places off it: a (5, 2m)
+band, factored by ``dgbtrf`` and solved by ``dgbtrs`` with kl = ku = 2.
 """
 
 from __future__ import annotations
@@ -38,8 +45,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import BDF, solve_ivp
 from scipy.linalg import lapack
 
 from .boundary import BoundaryData, RobinBC, SolverError  # noqa: F401
@@ -118,13 +123,341 @@ class FieldTrajectory:
         raise KeyError("no snapshot at t=%r" % t)
 
 
+_MAX_ORDER = 5
+_NEWTON_MAXITER = 4
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_EPS = np.finfo(float).eps
+# the NDF coefficients kappa of Shampine & Reichelt, Table 1
+_KAPPA = np.array([0, -0.1850, -1 / 9, -0.0823, -0.0415, 0])
+_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, _MAX_ORDER + 1))))
+_ALPHA = (1 - _KAPPA) * _GAMMA
+_ERROR_CONST = _KAPPA * _GAMMA + 1 / np.arange(1, _MAX_ORDER + 2)
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _compute_R(order, factor):
+    """The matrix that rescales the difference array for a step changed by
+    ``factor``."""
+    I = np.arange(1, order + 1)[:, None]
+    J = np.arange(1, order + 1)
+    M = np.zeros((order + 1, order + 1))
+    M[1:, 1:] = (I - 1 - factor * J) / I
+    M[0] = 1
+    return np.cumprod(M, axis=0)
+
+
+def _change_D(D, order, factor):
+    """Rescale the difference array ``D`` in place for a step changed by
+    ``factor``."""
+    RU = _compute_R(order, factor).dot(_compute_R(order, 1))
+    D[:order + 1] = np.dot(RU.T, D[:order + 1])
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+    """The first step size of Hairer, Norsett & Wanner (Sec. II.4) for an
+    error of order 2."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 2)
+    return min(100 * h0, h1, interval_length)
+
+
+class _BandBDF:
+    """Variable-order NDF/BDF integrator, forward in time, whose ``jac(t, y)``
+    returns the Jacobian as a band with ``band = (kl, ku)`` (see the module
+    docstring).  The stepping is scipy's BDF (1.17) operation for operation,
+    so steps, counters and interpolants are scipy's on the same problem.  A
+    zero pivot or a failed band solve raises ``SolverError`` naming t.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, jac, band):
+        self.t, self.t_bound = t0, t_bound
+        self.kl, self.ku = band
+        self.nfev = self.njev = self.nlu = 0
+
+        def counted_fun(t, y):
+            self.nfev += 1
+            return fun(t, y)
+
+        def counted_jac(t, y):
+            self.njev += 1
+            return jac(t, y)
+
+        self.fun, self.jac = counted_fun, counted_jac
+        n = y0.size
+        self.rtol, self.atol = max(rtol, 100 * _EPS), atol   # scipy's floor on rtol
+        f = self.fun(t0, y0)
+        self.h_abs = _initial_step(self.fun, t0, y0, t_bound, f, self.rtol, atol)
+        self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+        self.J = self.jac(t0, y0)
+        if self.J.shape != (self.kl + self.ku + 1, n):
+            raise ValueError("band Jacobian has shape %r, expected %r"
+                             % (self.J.shape, (self.kl + self.ku + 1, n)))
+        self.I = np.zeros_like(self.J)
+        self.I[self.ku] = 1.0
+        self.D = np.empty((_MAX_ORDER + 3, n))
+        self.D[0] = y0
+        self.D[1] = f * self.h_abs
+        self.order = 1
+        self.n_equal_steps = 0
+        self.LU = None
+
+    def _factor(self, A):
+        """LU factors of the band matrix ``A``: ``dgttrf`` for a tridiagonal
+        band, ``dgbtrf`` (with its kl extra rows for fill-in) otherwise."""
+        self.nlu += 1
+        if self.kl == self.ku == 1:
+            *lu, info = lapack.dgttrf(A[2, :-1], A[1], A[0, 1:], overwrite_dl=1,
+                                      overwrite_d=1, overwrite_du=1)
+            routine = "dgttrf"
+        else:
+            ab = np.zeros((2 * self.kl + self.ku + 1, A.shape[1]), order="F")
+            ab[self.kl:] = A
+            *lu, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
+            routine = "dgbtrf"
+        if info != 0:
+            raise SolverError("singular Newton matrix at t=%.4g (%s info %d)"
+                              % (self.t, routine, info))
+        return lu
+
+    def _solve(self, lu, b):
+        if self.kl == self.ku == 1:
+            x, info = lapack.dgttrs(*lu, b, overwrite_b=1)
+            routine = "dgttrs"
+        else:
+            ab, ipiv = lu
+            x, info = lapack.dgbtrs(ab, self.kl, self.ku, b, ipiv, overwrite_b=1)
+            routine = "dgbtrs"
+        if info != 0:
+            raise SolverError("Newton solve failed at t=%.4g (%s info %d)"
+                              % (self.t, routine, info))
+        return x
+
+    def _newton(self, t_new, y_predict, c, psi, LU, scale):
+        """The simplified Newton iteration of one implicit step; returns
+        (converged, iterations, y, d) with d the correction to y_predict."""
+        d = 0
+        y = y_predict.copy()
+        dy_norm_old = None
+        converged = False
+        for k in range(_NEWTON_MAXITER):
+            f = self.fun(t_new, y)
+            if not np.all(np.isfinite(f)):
+                break
+            dy = self._solve(LU, c * f - psi - d)
+            dy_norm = _rms(dy / scale)
+            rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+            if (rate is not None and (rate >= 1 or rate ** (_NEWTON_MAXITER - k)
+                                      / (1 - rate) * dy_norm > self.newton_tol)):
+                break
+            y += dy
+            d += dy
+            if (dy_norm == 0 or rate is not None
+                    and rate / (1 - rate) * dy_norm < self.newton_tol):
+                converged = True
+                break
+            dy_norm_old = dy_norm
+        return converged, k + 1, y, d
+
+    def step(self):
+        """Take one accepted step, then choose the next order and step size.
+        Returns None, or the failure message when the step size falls below
+        the spacing of floats at t."""
+        t = self.t
+        D = self.D
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if self.h_abs < min_step:
+            h_abs = min_step
+            _change_D(D, self.order, min_step / self.h_abs)
+            self.n_equal_steps = 0
+        else:
+            h_abs = self.h_abs
+        order = self.order
+        J = self.J
+        LU = self.LU
+        current_jac = False
+
+        step_accepted = False
+        while not step_accepted:
+            if h_abs < min_step:
+                return "Required step size is less than spacing between numbers."
+            t_new = t + h_abs
+            if t_new > self.t_bound:
+                t_new = self.t_bound
+                _change_D(D, order, (t_new - t) / h_abs)
+                self.n_equal_steps = 0
+                LU = None
+            h_abs = t_new - t
+
+            y_predict = np.sum(D[:order + 1], axis=0)
+            scale = self.atol + self.rtol * np.abs(y_predict)
+            psi = np.dot(D[1: order + 1].T, _GAMMA[1: order + 1]) / _ALPHA[order]
+
+            converged = False
+            c = h_abs / _ALPHA[order]
+            while not converged:
+                if LU is None:
+                    LU = self._factor(self.I - c * J)
+                converged, n_iter, y_new, d = self._newton(t_new, y_predict, c, psi,
+                                                           LU, scale)
+                if not converged:
+                    if current_jac:
+                        break
+                    J = self.jac(t_new, y_predict)
+                    LU = None
+                    current_jac = True
+
+            if not converged:
+                factor = 0.5
+                h_abs *= factor
+                _change_D(D, order, factor)
+                self.n_equal_steps = 0
+                LU = None
+                continue
+
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            scale = self.atol + self.rtol * np.abs(y_new)
+            error_norm = _rms(_ERROR_CONST[order] * d / scale)
+            if error_norm > 1:
+                factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
+                h_abs *= factor
+                _change_D(D, order, factor)
+                self.n_equal_steps = 0
+                # the Newton iteration converged, so the factors stay
+            else:
+                step_accepted = True
+
+        self.n_equal_steps += 1
+        self.t = t_new
+        self.h_abs = h_abs
+        self.J = J
+        self.LU = LU
+
+        # D held the differences of the previous interpolant and
+        # d = D^{order+1} y_new; D^{j+1} y_n = D^j y_n - D^j y_{n-1}
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+
+        if self.n_equal_steps < order + 1:
+            return None
+
+        if order > 1:
+            error_m_norm = _rms(_ERROR_CONST[order - 1] * D[order] / scale)
+        else:
+            error_m_norm = np.inf
+        if order < _MAX_ORDER:
+            error_p_norm = _rms(_ERROR_CONST[order + 1] * D[order + 2] / scale)
+        else:
+            error_p_norm = np.inf
+
+        error_norms = np.array([error_m_norm, error_norm, error_p_norm])
+        with np.errstate(divide="ignore"):
+            factors = error_norms ** (-1 / np.arange(order, order + 3))
+
+        order += np.argmax(factors) - 1
+        self.order = order
+        factor = min(_MAX_FACTOR, safety * np.max(factors))
+        self.h_abs *= factor
+        _change_D(D, order, factor)
+        self.n_equal_steps = 0
+        self.LU = None
+        return None
+
+    def interpolate(self, ts):
+        """The solution at the times ``ts`` (1-D) within the last step, one
+        column per time, from the backward differences of the current order."""
+        h = self.h_abs
+        order = self.order
+        t_shift = self.t - h * np.arange(order)
+        denom = h * (1 + np.arange(order))
+        p = np.cumprod((ts - t_shift[:, None]) / denom[:, None], axis=0)
+        y = np.dot(self.D[1:order + 1].T, p)
+        y += self.D[0, :, None]
+        return y
+
+
+@dataclass
+class IvpResult:
+    t: np.ndarray             # the times of t_eval reached
+    y: np.ndarray             # the states at those times, one column each
+    nfev: int
+    njev: int
+    nlu: int
+    status: int               # 0 reached the end, -1 a step failed
+    message: str
+    success: bool
+
+
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, jac, band):
+    """Integrate ``dy/dt = fun(t, y)`` over ``t_span = (t0, tf)``, t0 < tf,
+    with the band BDF and return the states at the times ``t_eval`` in
+    [t0, tf].
+
+    ``jac(t, y)`` returns the Jacobian in LAPACK band storage with
+    ``band = (kl, ku)`` sub- and super-diagonals.  Raises ``ValueError`` on a
+    ``y0`` that is not 1-D and finite or on ``t_eval`` not strictly
+    increasing; a failed step ends the run with ``status`` -1.
+    """
+    t0, tf = map(float, t_span)
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim != 1:
+        raise ValueError("`y0` must be 1-dimensional.")
+    if not np.isfinite(y0).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    t_eval = np.asarray(t_eval, dtype=float)
+    if np.any(np.diff(t_eval) <= 0):
+        raise ValueError("Values in `t_eval` are not properly sorted.")
+
+    solver = _BandBDF(fun, t0, y0, tf, rtol, atol, jac, band)
+    ts, ys = [], []
+    reached = 0
+    status = None
+    message = "The solver successfully reached the end of the integration interval."
+    while status is None:
+        failure = solver.step()
+        if failure is not None:
+            status, message = -1, failure
+            break
+        if solver.t >= tf:
+            status = 0
+        upto = np.searchsorted(t_eval, solver.t, side="right")
+        if upto > reached:
+            ts.append(t_eval[reached:upto])
+            ys.append(solver.interpolate(t_eval[reached:upto]))
+            reached = upto
+    return IvpResult(t=np.hstack(ts) if ts else np.empty(0),
+                     y=np.hstack(ys) if ys else np.empty((y0.size, 0)),
+                     nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
+                     status=status, message=message, success=status >= 0)
+
+
 def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
     """Right-hand side and analytic Jacobian of the two-stream system over
-    the interior unknowns y = (a_1..a_{n-1}, b_1..b_{n-1}).
+    the interior unknowns interleaved as y = (a_1, b_1, a_2, b_2, ...,
+    a_{n-1}, b_{n-1}).
 
-    The Jacobian has tridiagonal stream blocks (reaction on the diagonal,
-    advection and diffusion beside it) coupled by the exchange on the
-    diagonals of the off-diagonal blocks.
+    ``jac`` returns the (5, 2m) band of LAPACK order (see the module
+    docstring): each stream's neighbours sit two places off the diagonal,
+    the exchange between a_i and b_i one place off, and the reaction on the
+    diagonal.
     """
     grid, data = cfg.grid, cfg.data
     n, dx = grid.n, grid.dx
@@ -135,8 +468,8 @@ def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
     def rhs(t, y):
         a = np.empty(n + 1)
         b = np.empty(n + 1)
-        a[1:n] = y[:m]
-        b[1:n] = y[m:]
+        a[1:n] = y[0::2]
+        b[1:n] = y[1::2]
         a[0], b[0] = data.a0(t), data.b0(t)
         a[n], b[n] = data.aL(t), data.bL(t)
         ai, bi = a[1:n], b[1:n]
@@ -154,24 +487,40 @@ def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
         if diffusion:
             da += 3.0 * (a[2:] - 2.0 * ai + a[:-2]) * invdx2
             db += 3.0 * (b[2:] - 2.0 * bi + b[:-2]) * invdx2
-        return np.concatenate([da, db])
+        dy = np.empty(2 * m)
+        dy[0::2] = da
+        dy[1::2] = db
+        return dy
 
-    # neighbours within a stream (a advects forward, b backward); the two
-    # stream blocks do not touch across the junction at index m
+    # a advects forward and b backward; row 2 + i - j holds entry (i, j)
     adv = inv2dx if advection else 0.0
     dif = 3.0 * invdx2 if diffusion else 0.0
-    up = np.concatenate([np.full(m - 1, dif - adv), [0.0], np.full(m - 1, dif + adv)])
-    lo = np.concatenate([np.full(m - 1, dif + adv), [0.0], np.full(m - 1, dif - adv)])
-    diag0 = np.full(2 * m, (-0.5 if exchange else 0.0) - 2.0 * dif)
-    ex = np.full(m, 0.5 if exchange else 0.0)
-    sign = np.concatenate([np.ones(m), -np.ones(m)])
+    ex = 0.5 if exchange else 0.0
+    band = np.zeros((5, 2 * m))
+    band[0, 2::2] = dif - adv           # d(da_i)/d(a_{i+1})
+    band[0, 3::2] = dif + adv           # d(db_i)/d(b_{i+1})
+    band[1, 1::2] = ex                  # d(da_i)/d(b_i)
+    band[2] = -ex - 2.0 * dif
+    band[3, 0::2] = ex                  # d(db_i)/d(a_i)
+    band[4, 0:-2:2] = dif + adv         # d(da_i)/d(a_{i-1})
+    band[4, 1:-2:2] = dif - adv         # d(db_i)/d(b_{i-1})
+    sign = np.tile([1.0, -1.0], m)
 
     def jac(t, y):
-        diag = diag0 + sign * y if reaction else diag0
-        return sparse.diags_array([ex, lo, diag, up, ex], offsets=(-m, -1, 0, 1, m),
-                                  format="csc")
+        J = band.copy()
+        if reaction:
+            J[2] += sign * y
+        return J
 
     return rhs, jac
+
+
+def _nodal(initial, n):
+    """``initial`` as a float array of n + 1 finite nodal values."""
+    v = np.asarray(initial, dtype=float)
+    if v.shape != (n + 1,) or not np.isfinite(v).all():
+        raise ValueError("initial values must be %d finite nodal values" % (n + 1))
+    return v
 
 
 def solve_microscale(cfg: SolveConfig, *, initial=None,
@@ -187,18 +536,15 @@ def solve_microscale(cfg: SolveConfig, *, initial=None,
     grid, data = cfg.grid, cfg.data
     n = grid.n
     m = n - 1
+    y0 = np.zeros(2 * m)
+    if initial is not None:
+        a0v, b0v = initial
+        y0[0::2] = _nodal(a0v, n)[1:n]
+        y0[1::2] = _nodal(b0v, n)[1:n]
     rhs, jac = _micro_system(cfg, reaction, advection, diffusion, exchange)
 
-    if initial is None:
-        y0 = np.zeros(2 * m)
-    else:
-        a0v, b0v = initial
-        y0 = np.concatenate([np.asarray(a0v, dtype=float)[1:n],
-                             np.asarray(b0v, dtype=float)[1:n]])
-
-    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, method="BDF",
-                    t_eval=list(cfg.snapshots), rtol=cfg.rtol, atol=cfg.atol,
-                    jac=jac)
+    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, t_eval=list(cfg.snapshots),
+                    rtol=cfg.rtol, atol=cfg.atol, jac=jac, band=(2, 2))
     if not sol.success:
         reached = sol.t[-1] if len(sol.t) else 0.0
         raise SolverError("microscale integration failed at t=%.4g: %s"
@@ -208,8 +554,8 @@ def solve_microscale(cfg: SolveConfig, *, initial=None,
     for k, t in enumerate(sol.t):
         a = np.empty(n + 1)
         b = np.empty(n + 1)
-        a[1:n] = sol.y[:m, k]
-        b[1:n] = sol.y[m:, k]
+        a[1:n] = sol.y[0::2, k]
+        b[1:n] = sol.y[1::2, k]
         a[0], b[0] = data.a0(t), data.b0(t)
         a[n], b[n] = data.aL(t), data.bL(t)
         traj.states.append(MicroState(a=a, b=b, t=float(t)))
@@ -342,46 +688,6 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     return rhs, jac, closures, prev
 
 
-class _TridiagonalBDF(BDF):
-    """scipy's BDF with a tridiagonal Jacobian: ``jac(t, y)`` returns the
-    (3, m) band, and the Newton matrix ``I - c J`` is factored by LAPACK's
-    ``dgttrf`` and solved by ``dgttrs`` in the same storage."""
-
-    def __init__(self, fun, t0, y0, t_bound, jac, **options):
-        m = len(y0)
-        # a constant sparse placeholder takes BDF's sparse branch, so it
-        # never allocates a dense m x m identity, and leaves njev at 0
-        super().__init__(fun, t0, y0, t_bound, jac=sparse.csc_array((m, m)),
-                         **options)
-
-        def band_jac(t, y):
-            self.njev += 1
-            return jac(t, y)
-
-        self.jac = band_jac
-        self.J = band_jac(self.t, self.y)
-        self.I = np.zeros((3, m))
-        self.I[1] = 1.0
-        self.lu = self._factor
-        self.solve_lu = self._solve
-
-    def _factor(self, A):
-        self.nlu += 1
-        *lu, info = lapack.dgttrf(A[2, :-1], A[1], A[0, 1:], overwrite_dl=1,
-                                  overwrite_d=1, overwrite_du=1)
-        if info != 0:
-            raise SolverError("singular Newton matrix at t=%.4g (dgttrf info %d)"
-                              % (self.t, info))
-        return lu
-
-    def _solve(self, lu, b):
-        x, info = lapack.dgttrs(*lu, b, overwrite_b=1)
-        if info != 0:
-            raise SolverError("Newton solve failed at t=%.4g (dgttrs info %d)"
-                              % (self.t, info))
-        return x
-
-
 def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
                      initial=None, source=None):
     """Integrate the mean-field model with the configured boundary closure.
@@ -398,11 +704,10 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
         raise ValueError("robin modes need both boundary conditions")
     rhs, jac, closures, _ = _macro_system(cfg, bc_left, bc_right, source)
 
-    y0 = np.zeros(n - 1) if initial is None else np.asarray(initial, dtype=float)[1:n]
+    y0 = np.zeros(n - 1) if initial is None else _nodal(initial, n)[1:n]
 
-    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, method=_TridiagonalBDF,
-                    t_eval=list(cfg.snapshots), rtol=cfg.rtol, atol=cfg.atol,
-                    jac=jac)
+    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, t_eval=list(cfg.snapshots),
+                    rtol=cfg.rtol, atol=cfg.atol, jac=jac, band=(1, 1))
     if not sol.success:
         reached = sol.t[-1] if len(sol.t) else 0.0
         raise SolverError("macroscale integration failed at t=%.4g: %s"

@@ -1,6 +1,8 @@
 """The derivation is exact algebra and must not pay for the solver stack:
 ``msbc derive`` never imports ``msbc.solvers`` (and with it scipy), while
-the scenario commands load it as soon as they parse a scenario."""
+the scenario commands load it as soon as they parse a scenario.  The
+solvers themselves need only LAPACK from scipy: no command loads
+``scipy.integrate`` or ``scipy.sparse``."""
 
 import json
 import os
@@ -13,7 +15,8 @@ import msbc
 from msbc import solvers
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SOLVER_STACK = ("msbc.solvers", "scipy.integrate", "scipy.sparse")
+SOLVER_STACK = ("msbc.solvers", "scipy.linalg")
+NEVER_LOADED = ("scipy.integrate", "scipy.sparse")
 SOLVER_NAMES = ("Grid1D", "SolveConfig", "SolverError", "interior_error",
                 "reconstruct_micro", "solve_macroscale", "solve_microscale")
 
@@ -24,7 +27,10 @@ from msbc import cli
 
 def stack():
     return [m for m in %r if m in sys.modules]
-""" % (SOLVER_STACK,)
+
+def never_loaded():
+    return [m for m in %r if m in sys.modules]
+""" % (SOLVER_STACK, NEVER_LOADED)
 
 
 def _python(*args):
@@ -48,14 +54,28 @@ def _run(body):
 def test_derive_never_loads_the_solver_stack(tmp_path):
     code, after_derive, after_parse = _run("""
 code = cli.main(["derive", "--order", "2", "--out", %r])
-after_derive = stack()
+after_derive = stack() + never_loaded()
 cli.parse_scenario("scenarios/reference.cfg")
-print(json.dumps([code, after_derive, stack()]))
+print(json.dumps([code, after_derive, stack() + never_loaded()]))
 """ % str(tmp_path))
     assert code == 0
     assert after_derive == []
     # parsing a scenario builds a Grid1D: that is where the cost lands
     assert after_parse == list(SOLVER_STACK)
+
+
+def test_simulate_never_loads_scipy_integrate_or_sparse(tmp_path):
+    scenario = tmp_path / "small.cfg"
+    scenario.write_text("[scenario]\nname = small\nL = 30\nn = 32\nt_end = 2\n"
+                        "snapshots = 2\norder = 3\n\n[boundary]\na0 = 0.2 * tanhsq\n"
+                        "b0 = 0\naL = 0\nbL = 0.2 * tanhsq\n")
+    codes, loaded = _run("""
+codes = [cli.main(["simulate", "--scenario", %r, "--mode", mode, "--out", %r])
+         for mode in ("micro", "macro-robin")]
+print(json.dumps([codes, stack() + never_loaded()]))
+""" % (str(scenario), str(tmp_path / "out")))
+    assert codes == [0, 0]
+    assert loaded == list(SOLVER_STACK)
 
 
 def test_failed_cross_check_exits_2_without_the_solver_stack(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy import sparse
+from scipy.linalg import lapack
 
 from msbc import cli, solvers
 from msbc.boundary import BoundaryData
@@ -185,15 +186,56 @@ def test_exchange_only_conserves_total():
     assert abs(after - before) <= 1e-8 * max(1.0, abs(before))
 
 
-def _assert_jacobian_matches(J, rhs, t, y, h=1e-6):
-    """An analytic Jacobian at (t, y) against a central difference of the
-    same right-hand side, to a relative 1e-6.  ``J`` is sparse or the
-    macroscale (3, m) band: rows upper, main, lower."""
-    if sparse.issparse(J):
-        J = J.toarray()
-    else:
-        up, diag, lo = J
-        J = np.diag(diag) + np.diag(up[1:], 1) + np.diag(lo[:-1], -1)
+def test_solvers_reject_bad_initial_values_before_integrating(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("integrated a bad initial state")
+
+    monkeypatch.setattr(solvers, "solve_ivp", no_solve)
+    cfg = SolveConfig(grid=Grid1D(L=30.0, n=16), t_end=1.0, data=zero_data())
+    good = np.zeros(17)
+    nan = good.copy()
+    nan[5] = math.nan
+    for bad in (np.zeros(3), nan):
+        with pytest.raises(ValueError, match="17 finite nodal values"):
+            solvers.solve_macroscale(cfg, initial=bad)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="17 finite nodal values"):
+                solvers.solve_microscale(cfg, initial=pair)
+
+
+def test_integrator_rejects_a_bad_initial_state_or_band():
+    def f(t, y):
+        return -y
+
+    for y0, rows, what in ((np.ones((2, 3)), 1, "1-dimensional"),
+                           (np.array([1.0, math.nan]), 1, "finite"),
+                           (np.ones(4), 3, r"band Jacobian has shape \(3, 4\)")):
+        with pytest.raises(ValueError, match=what):
+            solvers.solve_ivp(f, (0.0, 1.0), y0, t_eval=[1.0], rtol=1e-6, atol=1e-6,
+                              jac=lambda t, y: -np.ones((rows, y.size)), band=(0, 0))
+
+
+def _band_diagonals(J, kl, ku):
+    """The diagonals of a matrix in LAPACK band storage (row ku + i - j holds
+    entry (i, j)), with their offsets."""
+    n = J.shape[1]
+    offsets = range(-kl, ku + 1)
+    return [J[ku - k, max(k, 0):n + min(k, 0)] for k in offsets], offsets
+
+
+def _band_to_dense(J, kl, ku):
+    return sum(np.diag(d, k) for d, k in zip(*_band_diagonals(J, kl, ku)))
+
+
+def _band_to_csc(J, kl, ku):
+    diagonals, offsets = _band_diagonals(J, kl, ku)
+    return sparse.diags_array(diagonals, offsets=offsets, format="csc")
+
+
+def _assert_jacobian_matches(J, rhs, t, y, band=(1, 1), h=1e-6):
+    """An analytic band Jacobian at (t, y) against a central difference of
+    the same right-hand side, to a relative 1e-6."""
+    J = _band_to_dense(J, *band)
     fd = np.empty_like(J)
     for k in range(len(y)):
         e = np.zeros_like(y)
@@ -215,8 +257,9 @@ SWITCHES = ("reaction", "advection", "diffusion", "exchange")
 def test_micro_jacobian_matches_central_difference(off):
     cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=reference_data())
     rhs, jac = solvers._micro_system(cfg, **{k: k != off for k in SWITCHES})
-    y = np.concatenate([_profile(31, 1), -_profile(31, 2)])
-    _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y)
+    y = np.empty(62)
+    y[0::2], y[1::2] = _profile(31, 1), -_profile(31, 2)
+    _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y, band=(2, 2))
 
 
 def _macro(mode, bcs=(None, None), source=None):
@@ -304,11 +347,6 @@ def test_macro_linearised_robin_jacobian(derivation):
     _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y)
 
 
-def _band_to_csc(J):
-    return sparse.diags_array([J[2, :-1], J[1], J[0, 1:]], offsets=(-1, 0, 1),
-                              format="csc")
-
-
 def _sweep_config(derivation, mode, n=300):
     cfg = SolveConfig(grid=Grid1D(L=30.0, n=n), t_end=21.0, data=derivation["data"],
                       snapshots=(7.0, 14.0, 21.0), bc_mode=mode)
@@ -318,89 +356,167 @@ def _sweep_config(derivation, mode, n=300):
     return cfg, (() if mode == "dirichlet-heuristic" else bcs)
 
 
-@pytest.mark.parametrize("mode", ("dirichlet-heuristic", "robin-derived",
-                                  "robin-linearised"))
-def test_band_solve_matches_sparse_lu_oracle(derivation, monkeypatch, mode):
-    # the oracle: stock BDF on the same diagonals as a csc matrix, so SuperLU
-    # factors the Newton matrix; only the rounding of the solves may differ
-    cfg, bcs = _sweep_config(derivation, mode)
-    counts = []
+class _BandOracleBDF(scipy.integrate.BDF):
+    """scipy's stock BDF with its Newton matrix ``I - c J`` held as the band
+    ``jac(t, y)`` returns (``band = (kl, ku)``) and factored by the same
+    LAPACK routines as the solvers' own integrator, which must reproduce its
+    every step."""
 
-    def recorded(oracle):
-        def ivp(fun, span, y0, *, method, jac, **kwargs):
-            assert method is solvers._TridiagonalBDF
-            if oracle:
-                method, band = "BDF", jac
-                jac = lambda t, y: _band_to_csc(band(t, y))
-            sol = scipy.integrate.solve_ivp(fun, span, y0, method=method, jac=jac,
-                                            **kwargs)
+    def __init__(self, fun, t0, y0, t_bound, jac, band, **options):
+        m = len(y0)
+        # a constant sparse placeholder takes BDF's sparse branch, so it
+        # never allocates a dense m x m identity, and leaves njev at 0
+        super().__init__(fun, t0, y0, t_bound, jac=sparse.csc_array((m, m)),
+                         **options)
+        self.kl, self.ku = band
+
+        def band_jac(t, y):
+            self.njev += 1
+            return jac(t, y)
+
+        self.jac = band_jac
+        self.J = band_jac(self.t, self.y)
+        self.I = np.zeros((self.kl + self.ku + 1, m))
+        self.I[self.ku] = 1.0
+        self.lu = self._factor
+        self.solve_lu = self._solve
+
+    def _factor(self, A):
+        self.nlu += 1
+        if self.kl == self.ku == 1:
+            *lu, info = lapack.dgttrf(A[2, :-1], A[1], A[0, 1:], overwrite_dl=1,
+                                      overwrite_d=1, overwrite_du=1)
+        else:
+            ab = np.zeros((2 * self.kl + self.ku + 1, A.shape[1]), order="F")
+            ab[self.kl:] = A
+            *lu, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
+        assert info == 0
+        return lu
+
+    def _solve(self, lu, b):
+        if self.kl == self.ku == 1:
+            x, info = lapack.dgttrs(*lu, b, overwrite_b=1)
+        else:
+            x, info = lapack.dgbtrs(lu[0], self.kl, self.ku, b, lu[1], overwrite_b=1)
+        assert info == 0
+        return x
+
+
+def _fields(traj):
+    return [(st.t, st.a, st.b) if traj.kind == "micro" else (st.t, st.C)
+            for st in traj.states]
+
+
+@pytest.mark.parametrize("mode", ("dirichlet-heuristic", "robin-derived",
+                                  "robin-linearised", "micro"))
+def test_band_solve_matches_sparse_lu_oracle(derivation, monkeypatch, mode):
+    # two oracles on the same right-hand side and band Jacobian: scipy's BDF
+    # with the band factor must match the solvers' integrator bit for bit;
+    # scipy's BDF on the same diagonals as a csc matrix, so SuperLU factors
+    # the Newton matrix, may differ only in the rounding of the solves
+    cfg, bcs = _sweep_config(derivation, "dirichlet-heuristic" if mode == "micro"
+                             else mode)
+    counts = []
+    ours = solvers.solve_ivp
+
+    def recorded(kind):
+        def ivp(fun, span, y0, *, jac, band, **kwargs):
+            if kind == "ours":
+                sol = ours(fun, span, y0, jac=jac, band=band, **kwargs)
+            elif kind == "band":
+                sol = scipy.integrate.solve_ivp(fun, span, y0, method=_BandOracleBDF,
+                                                jac=jac, band=band, **kwargs)
+            else:
+                sol = scipy.integrate.solve_ivp(
+                    fun, span, y0, method="BDF", **kwargs,
+                    jac=lambda t, y: _band_to_csc(jac(t, y), *band))
             counts.append((sol.nfev, sol.njev, sol.nlu))
             return sol
         return ivp
 
-    monkeypatch.setattr(solvers, "solve_ivp", recorded(False))
-    band = solvers.solve_macroscale(cfg, *bcs)
-    monkeypatch.setattr(solvers, "solve_ivp", recorded(True))
-    oracle = solvers.solve_macroscale(cfg, *bcs)
-    assert counts[0] == counts[1]
-    assert [st.t for st in band.states] == [st.t for st in oracle.states] == [7.0, 14.0, 21.0]
-    for new, old in zip(band.states, oracle.states):
-        np.testing.assert_allclose(new.C, old.C, rtol=1e-10, atol=0.0)
+    def solve(kind):
+        monkeypatch.setattr(solvers, "solve_ivp", recorded(kind))
+        if mode == "micro":
+            return _fields(solvers.solve_microscale(cfg))
+        return _fields(solvers.solve_macroscale(cfg, *bcs))
+
+    new, band, csc = solve("ours"), solve("band"), solve("csc")
+    assert counts[0] == counts[1] == counts[2]
+    assert [f[0] for f in new] == [f[0] for f in band] == [f[0] for f in csc] \
+        == [7.0, 14.0, 21.0]
+    for ours_f, band_f, csc_f in zip(new, band, csc):
+        for x, bx, cx in zip(ours_f[1:], band_f[1:], csc_f[1:]):
+            assert np.array_equal(x, bx)
+            np.testing.assert_allclose(x, cx, rtol=1e-10, atol=0.0)
 
 
-def test_macro_solve_never_builds_a_sparse_factor(derivation, monkeypatch):
-    # the band solver relies on BDF's internals (J, jac, I, lu, solve_lu); a
-    # scipy that renames them would fall back to SuperLU or a dense identity
-    def no_splu(A):
-        raise AssertionError("the macroscale solve called splu")
+def test_both_solves_factor_their_bands(derivation, monkeypatch):
+    shapes, seen = [], []
+    factor, ivp = solvers._BandBDF._factor, solvers.solve_ivp
 
-    monkeypatch.setattr(scipy.integrate._ivp.bdf, "splu", no_splu)
-    solvers_seen = []
+    def recorded_factor(self, A):
+        shapes.append(A.shape)
+        return factor(self, A)
 
-    class Recorded(solvers._TridiagonalBDF):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            solvers_seen.append(self)
+    def recorded_ivp(*args, **kwargs):
+        shapes.clear()
+        sol = ivp(*args, **kwargs)
+        seen.append((sol.nlu, len(shapes), set(shapes)))
+        return sol
 
-    monkeypatch.setattr(solvers, "_TridiagonalBDF", Recorded)
+    monkeypatch.setattr(solvers._BandBDF, "_factor", recorded_factor)
+    monkeypatch.setattr(solvers, "solve_ivp", recorded_ivp)
     cfg, bcs = _sweep_config(derivation, "robin-derived", n=64)
     solvers.solve_macroscale(cfg, *bcs)
-    (solver,) = solvers_seen
-    assert solver.I.shape == solver.J.shape == (3, 63)
-    assert solver.nlu > 0
-    # the same patch does catch a sparse BDF solve
-    cfg = SolveConfig(grid=Grid1D(L=30.0, n=16), t_end=1.0, data=reference_data())
-    with pytest.raises(AssertionError, match="splu"):
-        solvers.solve_microscale(cfg)
+    solvers.solve_microscale(cfg)
+    (macro_lu, macro_n, macro_shapes), (micro_lu, micro_n, micro_shapes) = seen
+    assert macro_lu == macro_n > 0 and macro_shapes == {(3, 63)}
+    assert micro_lu == micro_n > 0 and micro_shapes == {(5, 126)}
 
 
-def _band_solver(m=8):
-    """A band BDF on dy/dt = -y, whose Jacobian band is -I."""
-    band = np.zeros((3, m))
-    band[1] = -1.0
-    return solvers._TridiagonalBDF(lambda t, y: -y, 0.0, np.ones(m), 1.0,
-                                   jac=lambda t, y: band)
+def _band_solver(m=8, band=(1, 1)):
+    """The band BDF on dy/dt = -y, whose Jacobian band is -I."""
+    J = np.zeros((sum(band) + 1, m))
+    J[band[1]] = -1.0
+    return solvers._BandBDF(lambda t, y: -y, 0.0, np.ones(m), 1.0, 1e-3, 1e-6,
+                            jac=lambda t, y: J, band=band)
 
 
-def test_band_factor_solves_the_tridiagonal_system():
-    rng = np.random.default_rng(8)
-    solver = _band_solver()
-    A = rng.standard_normal((3, 8))
-    A[0, 0] = A[2, -1] = 0.0
-    dense = np.diag(A[1]) + np.diag(A[0, 1:], 1) + np.diag(A[2, :-1], -1)
+def _assert_band_solves(band, seed):
+    rng = np.random.default_rng(seed)
+    solver = _band_solver(band=band)
+    A = rng.standard_normal((sum(band) + 1, 8))
     b = rng.standard_normal(8)
-    x = solver.solve_lu(solver.lu(A.copy()), b.copy())
-    np.testing.assert_allclose(dense @ x, b, rtol=1e-12, atol=1e-12)
+    x = solver._solve(solver._factor(A.copy()), b.copy())
+    np.testing.assert_allclose(_band_to_dense(A, *band) @ x, b, rtol=1e-12, atol=1e-12)
     assert solver.nlu == 1
 
 
+def test_band_factor_solves_the_tridiagonal_system():
+    _assert_band_solves((1, 1), 8)
+
+
+def test_band_factor_solves_the_pentadiagonal_system():
+    _assert_band_solves((2, 2), 9)
+
+
+def _assert_rejects_singular_band(band, routine):
+    solver = _band_solver(band=band)
+    A = np.zeros((sum(band) + 1, 8))
+    A[band[1]] = 1.0
+    A[band[1], 3] = 0.0             # column 3 is zero: exactly singular
+    with pytest.raises(SolverError, match=r"singular Newton matrix at t=0 \(%s info 4\)"
+                       % routine):
+        solver._factor(A)
+
+
 def test_band_factor_rejects_a_singular_band():
-    solver = _band_solver()
-    A = np.zeros((3, 8))
-    A[1] = 1.0
-    A[1, 3] = 0.0                   # column 3 is zero: exactly singular
-    with pytest.raises(SolverError, match=r"singular Newton matrix at t=0\b"):
-        solver.lu(A)
+    _assert_rejects_singular_band((1, 1), "dgttrf")
+
+
+def test_band_factor_rejects_a_singular_pentadiagonal_band():
+    # the microscale Newton matrix: a SolverError, so the command exits 2
+    _assert_rejects_singular_band((2, 2), "dgbtrf")
 
 
 def test_robin_boundary_residual_after_steps(reference_run):
