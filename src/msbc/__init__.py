@@ -7,8 +7,9 @@ assembles nonlinear Robin boundary conditions for the macroscale mean-field
 model.  Method-of-lines solvers for both the microscale pair and the
 macroscale equation verify the derived conditions numerically.
 
-The solver names load ``msbc.solvers``, and with it scipy, on first use;
-the derivation never imports scipy.
+The solver names load ``msbc.solvers`` on first use.  The solvers call
+LAPACK in the OpenBLAS bundled with numpy, and import scipy only where numpy
+bundles none; the derivation never imports scipy.
 """
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ Verbs:
   compare  --scenario FILE --out DIR [--window LO HI]
 
 Only the scenario commands (``simulate``, ``compare``, and anything that calls
-``parse_scenario``) import ``msbc.solvers`` and with it scipy; ``derive`` is
+``parse_scenario``) import ``msbc.solvers``, which takes its LAPACK from
+numpy's bundled OpenBLAS (from scipy where numpy bundles none); ``derive`` is
 exact algebra and never loads the solver stack.
 
 Scenario files are flat ``key = value`` text with bracketed section headers;

@@ -37,19 +37,86 @@ stream, that coupling would sit m places off the diagonal; the unknowns are
 therefore interleaved as (a_1, b_1, a_2, b_2, ...), which brings it next to
 the diagonal and each stream's neighbours two places off it: a (5, 2m)
 band, factored by ``dgbtrf`` and solved by ``dgbtrs`` with kl = ku = 2.
+
+The four LAPACK routines are called through ``ctypes``.  They come from the
+OpenBLAS that numpy's wheels bundle in ``numpy.libs``, which exports them as
+``scipy_<routine>_64_`` with 64-bit integer arguments, so the solvers import
+no scipy.  Where that library or one of its symbols is missing (conda, MKL
+or distro builds of numpy), they come from ``scipy.linalg.cython_lapack``,
+whose routines take 32-bit integers in the same argument order.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .boundary import BoundaryData, RobinBC, SolverError  # noqa: F401
 
 DEFAULT_WINDOW = (5.0, 25.0)
+
+_NUMPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+_OPENBLAS_PREFIX = "libscipy_openblas64_"
+_OPENBLAS_SYMBOL = "scipy_%s_64_"
+_ROUTINES = ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs")
+# the two solves take ``trans`` as a character, whose length a Fortran
+# routine receives as a trailing hidden argument (the C routines of
+# cython_lapack take no such argument and never read it)
+_TRANS = ctypes.byref(ctypes.c_char(b"N"))
+_TRANS_LEN = ctypes.c_size_t(1)
+
+
+@dataclass(frozen=True)
+class _Lapack:
+    source: str               # "openblas" | "cython_lapack"
+    int_type: type            # the ctypes type of every integer argument
+    dgttrf: object
+    dgttrs: object
+    dgbtrf: object
+    dgbtrs: object
+
+
+def _load_lapack():
+    """The four band routines as ctypes functions, from the OpenBLAS in
+    ``_NUMPY_LIBS`` when it exports all of them, else from scipy's
+    ``cython_lapack``."""
+    addresses = None
+    names = (sorted(f for f in os.listdir(_NUMPY_LIBS) if f.startswith(_OPENBLAS_PREFIX))
+             if os.path.isdir(_NUMPY_LIBS) else [])
+    if names:
+        try:
+            lib = ctypes.CDLL(os.path.join(_NUMPY_LIBS, names[0]))
+            addresses = [ctypes.cast(getattr(lib, _OPENBLAS_SYMBOL % r), ctypes.c_void_p).value
+                         for r in _ROUTINES]
+            source, int_type = "openblas", ctypes.c_int64
+        except (OSError, AttributeError):
+            addresses = None
+    if addresses is None:
+        from scipy.linalg import cython_lapack
+        capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))
+        capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                            ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        capsules = [cython_lapack.__pyx_capi__[r] for r in _ROUTINES]
+        addresses = [capsule_pointer(c, capsule_name(c)) for c in capsules]
+        source, int_type = "cython_lapack", ctypes.c_int
+    # no argtypes: every argument is passed as a ready ctypes object, which
+    # costs less per call than converting Python ints through argtypes
+    return _Lapack(source, int_type, *(ctypes.CFUNCTYPE(None)(a) for a in addresses))
+
+
+_LAPACK = _load_lapack()
+
+
+def _ref(a):
+    """A ctypes reference to the array ``a``, which must be writable and
+    C-contiguous (``ctypes`` raises otherwise)."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
 
 
 @dataclass(frozen=True)
@@ -107,7 +174,11 @@ class SolveConfig:
         snaps = tuple(float(s) for s in (self.snapshots or (self.t_end,)))
         if not all(math.isfinite(s) and 0 <= s <= self.t_end for s in snaps):
             raise ValueError("snapshot times must be finite and lie in [0, t_end]")
-        self.snapshots = tuple(sorted(snaps))
+        snaps = tuple(sorted(snaps))
+        for prev, s in zip(snaps, snaps[1:]):
+            if s == prev:
+                raise ValueError("snapshot time %r is repeated" % s)
+        self.snapshots = snaps
 
 
 @dataclass
@@ -211,42 +282,79 @@ class _BandBDF:
                              % (self.J.shape, (self.kl + self.ku + 1, n)))
         self.I = np.zeros_like(self.J)
         self.I[self.ku] = 1.0
-        self.D = np.empty((_MAX_ORDER + 3, n))
+        # zeros, as in scipy: the first step's D[3] = d - D[2] reads row 2 unset
+        self.D = np.zeros((_MAX_ORDER + 3, n))
         self.D[0] = y0
         self.D[1] = f * self.h_abs
         self.order = 1
         self.n_equal_steps = 0
         self.LU = None
 
+        # the integer arguments of every LAPACK call, in the loader's type,
+        # and references to them: order, one right-hand side, kl, ku, the
+        # leading dimension of dgbtrf's band, and info
+        self.lapack = _LAPACK
+        self.n = n
+        int_type = self.lapack.int_type
+        self._ints = (int_type * 6)(n, 1, self.kl, self.ku, 2 * self.kl + self.ku + 1, 0)
+        self._n, self._one, self._kl, self._ku, self._ldab, self._info = (
+            ctypes.byref(self._ints, k * ctypes.sizeof(int_type)) for k in range(6))
+        self._ipiv_type = int_type * n
+        self._du2_type = ctypes.c_double * max(n - 2, 1)
+        # the band solve works in place on this right-hand side, so that one
+        # reference to it serves every solve
+        self._trs = self.lapack.dgttrs if self.kl == self.ku == 1 else self.lapack.dgbtrs
+        self._rhs = np.zeros(n)
+        self._rhs_args = (_ref(self._rhs), self._n, self._info, _TRANS_LEN)
+
     def _factor(self, A):
-        """LU factors of the band matrix ``A``: ``dgttrf`` for a tridiagonal
-        band, ``dgbtrf`` (with its kl extra rows for fill-in) otherwise."""
+        """LU factors of the band matrix ``A``, which ``dgttrf`` overwrites
+        for a tridiagonal band; otherwise ``dgbtrf`` factors a copy with its
+        kl extra rows for fill-in.  Returns the arrays that hold the factors
+        with the arguments of the band solve."""
         self.nlu += 1
+        n = self.n
+        ipiv = self._ipiv_type()
         if self.kl == self.ku == 1:
-            *lu, info = lapack.dgttrf(A[2, :-1], A[1], A[0, 1:], overwrite_dl=1,
-                                      overwrite_d=1, overwrite_du=1)
-            routine = "dgttrf"
+            A = np.ascontiguousarray(A, dtype=float)
+            if A.shape != (3, n):
+                raise ValueError("band has shape %r, expected %r" % (A.shape, (3, n)))
+            du2 = self._du2_type()
+            # rows upper, main, lower: dl = A[2, :-1], d = A[1], du = A[0, 1:];
+            # (dl, d, du, du2, ipiv) is a run of both dgttrf's and dgttrs's arguments
+            a = ctypes.c_char.from_buffer(A)
+            lu = (ctypes.byref(a, 16 * n), ctypes.byref(a, 8 * n), ctypes.byref(a, 8),
+                  ctypes.byref(du2), ctypes.byref(ipiv))
+            self.lapack.dgttrf(self._n, *lu, self._info)
+            arrays, routine = (A, du2, ipiv), "dgttrf"
+            solve_args = (_TRANS, self._n, self._one, *lu, *self._rhs_args)
         else:
-            ab = np.zeros((2 * self.kl + self.ku + 1, A.shape[1]), order="F")
+            ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
             ab[self.kl:] = A
-            *lu, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
-            routine = "dgbtrf"
+            # the transpose of the Fortran-ordered ab is C-contiguous;
+            # (ab, ldab, ipiv) is a run of both dgbtrf's and dgbtrs's arguments
+            lu = (_ref(ab.T), self._ldab, ctypes.byref(ipiv))
+            self.lapack.dgbtrf(self._n, self._n, self._kl, self._ku, *lu, self._info)
+            arrays, routine = (ab, ipiv), "dgbtrf"
+            solve_args = (_TRANS, self._n, self._kl, self._ku, self._one, *lu,
+                          *self._rhs_args)
+        info = self._ints[5]
         if info != 0:
             raise SolverError("singular Newton matrix at t=%.4g (%s info %d)"
                               % (self.t, routine, info))
-        return lu
+        return arrays, solve_args
 
     def _solve(self, lu, b):
-        if self.kl == self.ku == 1:
-            x, info = lapack.dgttrs(*lu, b, overwrite_b=1)
-            routine = "dgttrs"
-        else:
-            ab, ipiv = lu
-            x, info = lapack.dgbtrs(ab, self.kl, self.ku, b, ipiv, overwrite_b=1)
-            routine = "dgbtrs"
+        """The solution of the factored system for the right-hand side ``b``,
+        in an array of the integrator's that the next solve overwrites."""
+        x = self._rhs
+        x[...] = b
+        self._trs(*lu[1])
+        info = self._ints[5]
         if info != 0:
             raise SolverError("Newton solve failed at t=%.4g (%s info %d)"
-                              % (self.t, routine, info))
+                              % (self.t, "dgttrs" if self.kl == self.ku == 1 else "dgbtrs",
+                                 info))
         return x
 
     def _newton(self, t_new, y_predict, c, psi, LU, scale):

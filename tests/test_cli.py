@@ -326,6 +326,21 @@ def test_simulate_rejects_nonfinite_numbers_before_any_work(tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_simulate_rejects_a_repeated_snapshot_before_any_work(tmp_path, monkeypatch,
+                                                              capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no derivation may start on a bad scenario")
+
+    monkeypatch.setattr(normalform, "construct_at_unity", forbidden)
+    scen = tmp_path / "twice.cfg"
+    scen.write_text("[scenario]\nt_end = 21\nsnapshots = 7, 7, 21\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(scen), "--mode", "macro-robin",
+                     "--out", str(out)]) == 1
+    assert "snapshot time 7.0 is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_flags_unvalidated_amplitude(tmp_path):
     scen = tmp_path / "big.cfg"
     scen.write_text("""\

@@ -1,8 +1,9 @@
 """The derivation is exact algebra and must not pay for the solver stack:
-``msbc derive`` never imports ``msbc.solvers`` (and with it scipy), while
-the scenario commands load it as soon as they parse a scenario.  The
-solvers themselves need only LAPACK from scipy: no command loads
-``scipy.integrate`` or ``scipy.sparse``."""
+``msbc derive`` never imports ``msbc.solvers``, while the scenario commands
+load it as soon as they parse a scenario.  The solvers call LAPACK in the
+OpenBLAS that numpy bundles, so with that library present no command loads
+any scipy module; without it they load ``scipy.linalg`` for its LAPACK, and
+still never ``scipy.integrate`` or ``scipy.sparse``."""
 
 import json
 import os
@@ -15,7 +16,7 @@ import msbc
 from msbc import solvers
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SOLVER_STACK = ("msbc.solvers", "scipy.linalg")
+SOLVER_STACK = ("msbc.solvers",)
 NEVER_LOADED = ("scipy.integrate", "scipy.sparse")
 SOLVER_NAMES = ("Grid1D", "SolveConfig", "SolverError", "interior_error",
                 "reconstruct_micro", "solve_macroscale", "solve_microscale")
@@ -28,9 +29,21 @@ from msbc import cli
 def stack():
     return [m for m in %r if m in sys.modules]
 
-def never_loaded():
-    return [m for m in %r if m in sys.modules]
-""" % (SOLVER_STACK, NEVER_LOADED)
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+""" % (SOLVER_STACK,)
+
+
+def _assert_scipy_use(source, loaded):
+    """The scipy modules a process loaded, given the LAPACK source its
+    solvers reported: none with numpy's bundled OpenBLAS; with the
+    cython_lapack fallback, ``scipy.linalg`` and never ``NEVER_LOADED``."""
+    if source == "openblas":
+        assert loaded == []
+    else:
+        assert source == "cython_lapack"
+        assert "scipy.linalg.cython_lapack" in loaded
+        assert not set(NEVER_LOADED) & set(loaded)
 
 
 def _python(*args):
@@ -52,16 +65,18 @@ def _run(body):
 
 
 def test_derive_never_loads_the_solver_stack(tmp_path):
-    code, after_derive, after_parse = _run("""
+    code, after_derive, after_parse, source, scipy = _run("""
 code = cli.main(["derive", "--order", "2", "--out", %r])
-after_derive = stack() + never_loaded()
+after_derive = stack() + scipy_loaded()
 cli.parse_scenario("scenarios/reference.cfg")
-print(json.dumps([code, after_derive, stack() + never_loaded()]))
+print(json.dumps([code, after_derive, stack(), sys.modules["msbc.solvers"]._LAPACK.source,
+                  scipy_loaded()]))
 """ % str(tmp_path))
     assert code == 0
     assert after_derive == []
     # parsing a scenario builds a Grid1D: that is where the cost lands
     assert after_parse == list(SOLVER_STACK)
+    _assert_scipy_use(source, scipy)
 
 
 def test_simulate_never_loads_scipy_integrate_or_sparse(tmp_path):
@@ -69,13 +84,16 @@ def test_simulate_never_loads_scipy_integrate_or_sparse(tmp_path):
     scenario.write_text("[scenario]\nname = small\nL = 30\nn = 32\nt_end = 2\n"
                         "snapshots = 2\norder = 3\n\n[boundary]\na0 = 0.2 * tanhsq\n"
                         "b0 = 0\naL = 0\nbL = 0.2 * tanhsq\n")
-    codes, loaded = _run("""
+    codes, loaded, source, scipy = _run("""
 codes = [cli.main(["simulate", "--scenario", %r, "--mode", mode, "--out", %r])
          for mode in ("micro", "macro-robin")]
-print(json.dumps([codes, stack() + never_loaded()]))
+print(json.dumps([codes, stack(), sys.modules["msbc.solvers"]._LAPACK.source,
+                  scipy_loaded()]))
 """ % (str(scenario), str(tmp_path / "out")))
     assert codes == [0, 0]
     assert loaded == list(SOLVER_STACK)
+    _assert_scipy_use(source, scipy)
+    assert source == solvers._LAPACK.source
 
 
 def test_failed_cross_check_exits_2_without_the_solver_stack(tmp_path):

@@ -1,5 +1,8 @@
+import ctypes
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +50,12 @@ def test_config_validation():
     # solve_ivp rejects any t_eval beyond t_end, however close
     with pytest.raises(ValueError, match=r"\[0, t_end\]"):
         SolveConfig(grid=g, t_end=1.0, data=zero_data(), snapshots=(1.0 + 5e-13,))
+    # solve_ivp needs strictly increasing t_eval: a repeated time is named here
+    for snaps in ((0.5, 0.5, 1.0), (1.0, 0.25, 1.0)):
+        with pytest.raises(ValueError, match=r"snapshot time %r is repeated" % snaps[0]):
+            SolveConfig(grid=g, t_end=1.0, data=zero_data(), snapshots=snaps)
+    assert SolveConfig(grid=g, t_end=1.0, data=zero_data(),
+                       snapshots=(1.0, 0.5)).snapshots == (0.5, 1.0)
 
 
 def test_config_rejects_unknown_bc_mode():
@@ -482,41 +491,106 @@ def _band_solver(m=8, band=(1, 1)):
                             jac=lambda t, y: J, band=band)
 
 
-def _assert_band_solves(band, seed):
+def _on_each_lapack_source(monkeypatch, tmp_path, check):
+    """``check()`` on each LAPACK source of the solvers: the OpenBLAS bundled
+    with numpy, where there is one, then scipy's cython_lapack, which the
+    loader falls back to when its directory holds no bundled library.
+    Returns the results by source."""
+    results = {}
+    for libdir in (solvers._NUMPY_LIBS, str(tmp_path)):
+        monkeypatch.setattr(solvers, "_NUMPY_LIBS", libdir)
+        monkeypatch.setattr(solvers, "_LAPACK", solvers._load_lapack())
+        results[solvers._LAPACK.source] = check()
+    assert "cython_lapack" in results
+    return results
+
+
+def _assert_band_solves(monkeypatch, tmp_path, band, seed):
+    """A random band system factored and solved on each LAPACK source: the
+    solution must be the same bits from both."""
     rng = np.random.default_rng(seed)
-    solver = _band_solver(band=band)
     A = rng.standard_normal((sum(band) + 1, 8))
     b = rng.standard_normal(8)
-    x = solver._solve(solver._factor(A.copy()), b.copy())
-    np.testing.assert_allclose(_band_to_dense(A, *band) @ x, b, rtol=1e-12, atol=1e-12)
-    assert solver.nlu == 1
+
+    def solve():
+        solver = _band_solver(band=band)
+        x = solver._solve(solver._factor(A.copy()), b.copy())
+        np.testing.assert_allclose(_band_to_dense(A, *band) @ x, b, rtol=1e-12, atol=1e-12)
+        assert solver.nlu == 1
+        return x
+
+    first, *rest = _on_each_lapack_source(monkeypatch, tmp_path, solve).values()
+    for x in rest:
+        assert np.array_equal(x, first)
 
 
-def test_band_factor_solves_the_tridiagonal_system():
-    _assert_band_solves((1, 1), 8)
+def test_band_factor_solves_the_tridiagonal_system(monkeypatch, tmp_path):
+    _assert_band_solves(monkeypatch, tmp_path, (1, 1), 8)
 
 
-def test_band_factor_solves_the_pentadiagonal_system():
-    _assert_band_solves((2, 2), 9)
+def test_band_factor_solves_the_pentadiagonal_system(monkeypatch, tmp_path):
+    _assert_band_solves(monkeypatch, tmp_path, (2, 2), 9)
 
 
-def _assert_rejects_singular_band(band, routine):
-    solver = _band_solver(band=band)
+def _assert_rejects_singular_band(monkeypatch, tmp_path, band, routine):
     A = np.zeros((sum(band) + 1, 8))
     A[band[1]] = 1.0
     A[band[1], 3] = 0.0             # column 3 is zero: exactly singular
-    with pytest.raises(SolverError, match=r"singular Newton matrix at t=0 \(%s info 4\)"
-                       % routine):
-        solver._factor(A)
+
+    def factor():
+        with pytest.raises(SolverError) as err:
+            _band_solver(band=band)._factor(A.copy())
+        return str(err.value)
+
+    messages = _on_each_lapack_source(monkeypatch, tmp_path, factor).values()
+    assert set(messages) == {"singular Newton matrix at t=0 (%s info 4)" % routine}
 
 
-def test_band_factor_rejects_a_singular_band():
-    _assert_rejects_singular_band((1, 1), "dgttrf")
+def test_band_factor_rejects_a_singular_band(monkeypatch, tmp_path):
+    _assert_rejects_singular_band(monkeypatch, tmp_path, (1, 1), "dgttrf")
 
 
-def test_band_factor_rejects_a_singular_pentadiagonal_band():
+def test_band_factor_rejects_a_singular_pentadiagonal_band(monkeypatch, tmp_path):
     # the microscale Newton matrix: a SolverError, so the command exits 2
-    _assert_rejects_singular_band((2, 2), "dgbtrf")
+    _assert_rejects_singular_band(monkeypatch, tmp_path, (2, 2), "dgbtrf")
+
+
+def test_numpy_wheels_supply_the_lapack():
+    # a Linux wheel of numpy bundles a 64-bit-integer scipy-openblas in
+    # numpy.libs: the solvers must then take their LAPACK from it, not scipy
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    if not (sys.platform.startswith("linux") and blas.get("name") == "scipy-openblas"
+            and "USE64BITINT" in blas.get("openblas configuration", "")
+            and os.path.isdir(solvers._NUMPY_LIBS)):
+        pytest.skip("numpy here is not a Linux wheel with a bundled scipy-openblas64")
+    assert (solvers._LAPACK.source, solvers._LAPACK.int_type) == ("openblas", ctypes.c_int64)
+
+
+def test_lapack_loader_falls_back_when_a_symbol_is_missing(monkeypatch):
+    if solvers._LAPACK.source != "openblas":
+        pytest.skip("numpy bundles no OpenBLAS with the four band routines here")
+    monkeypatch.setattr(solvers, "_OPENBLAS_SYMBOL", "no_such_symbol_%s")
+    lapack = solvers._load_lapack()
+    assert (lapack.source, lapack.int_type) == ("cython_lapack", ctypes.c_int)
+
+
+def test_integrator_starts_from_zeroed_differences():
+    # the first step reads D[2] before writing it: garbage there raised
+    # spurious RuntimeWarnings on stderr, so D starts zeroed, as in scipy
+    solver = _band_solver()
+    assert solver.D.shape == (8, 8) and not solver.D[2:].any()
+
+
+def test_band_factor_rejects_arrays_of_the_wrong_shape():
+    # the routines get raw pointers, so the sizes are checked first
+    solver = _band_solver(band=(1, 1))
+    with pytest.raises(ValueError, match=r"band has shape \(3, 7\)"):
+        solver._factor(np.ones((3, 7)))
+    A = np.ones((3, 8))
+    A[1] = 4.0
+    lu = solver._factor(A)
+    with pytest.raises(ValueError, match=r"shape \(7,\) into shape \(8,\)"):
+        solver._solve(lu, np.ones(7))
 
 
 def test_robin_boundary_residual_after_steps(reference_run):
