@@ -28,7 +28,7 @@ DATA_VARS = ("a0", "b0")
 
 class SolverError(RuntimeError):
     """A numerical failure (exit code 2).  Defined here, not in ``solvers``,
-    so the derivation can raise it without importing scipy."""
+    because ``msbc derive`` raises it and never loads ``msbc.solvers``."""
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,7 @@ def parse_scenario(path):
         rtol = float(sc.get("rtol", 1e-8))
         atol = float(sc.get("atol", 1e-8))
         order = int(sc.get("order", 3))
+        normalform.check_order(order)
         data = BoundaryData(
             a0=_parse_boundary_value(bd.get("a0", "0")),
             b0=_parse_boundary_value(bd.get("b0", "0")),
@@ -143,8 +144,14 @@ def parse_scenario(path):
         # the solver's own checks (finite t_end and tolerances, snapshot
         # times in [0, t_end]), so a bad number exits 1 before any
         # construction or solve
-        solvers.SolveConfig(grid=grid, t_end=t_end, data=data, snapshots=snaps,
-                            rtol=rtol, atol=atol)
+        cfg = solvers.SolveConfig(grid=grid, t_end=t_end, data=data,
+                                  snapshots=snaps, rtol=rtol, atol=atol)
+        # output files are named by "%g" of the time; two equal labels
+        # would write one file over the other
+        for prev, s in zip(cfg.snapshots, cfg.snapshots[1:]):
+            if "%g" % prev == "%g" % s:
+                raise ValueError("snapshot times %r and %r share the file label t%g"
+                                 % (prev, s, s))
     except (ValueError, TypeError) as ex:
         raise ScenarioError("bad scenario %s: %s" % (path, ex)) from None
     return Scenario(name, grid, t_end, snaps, data, rtol, atol, order)
@@ -262,8 +269,9 @@ def _write(path, text):
 
 
 def cmd_derive(order, out_dir, eps_order=None):
-    if order < 2:
-        raise ScenarioError("order must be at least 2")
+    normalform.check_order(order)
+    if eps_order is not None and eps_order < 0:
+        raise ScenarioError("eps order must be non-negative")
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=order)
     report, cross = _cross_validate(deriv, eps_order)

@@ -149,6 +149,18 @@ def test_derive_decomposes_each_matrix_once(tmp_path, monkeypatch):
 
 def test_derive_rejects_low_order(tmp_path):
     assert cli.main(["derive", "--order", "1", "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("args", (["--order", "8"], ["--eps-order", "-1"]))
+def test_derive_rejects_bad_orders_before_any_work(tmp_path, monkeypatch, args):
+    def forbidden(*a, **kw):
+        raise AssertionError("no construction may start on a bad order")
+
+    monkeypatch.setattr(normalform, "construct_at_unity", forbidden)
+    out = tmp_path / "x"
+    assert cli.main(["derive"] + args + ["--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_simulate_micro_csv(small_scenario, tmp_path):
@@ -309,6 +321,15 @@ def test_scenario_parse_errors(tmp_path):
         f5.write_text("[scenario]\n%s\n" % line)
         with pytest.raises(cli.ScenarioError, match="finite"):
             cli.parse_scenario(str(f5))
+    for order in (1, 8):
+        f6 = tmp_path / "order.cfg"
+        f6.write_text("[scenario]\norder = %d\n" % order)
+        with pytest.raises(cli.ScenarioError, match="order"):
+            cli.parse_scenario(str(f6))
+    f7 = tmp_path / "labels.cfg"
+    f7.write_text("[scenario]\nt_end = 2\nsnapshots = 1, 1.0000001, 2\n")
+    with pytest.raises(cli.ScenarioError, match="1.0 and 1.0000001 share the file label t1"):
+        cli.parse_scenario(str(f7))
 
 
 @pytest.mark.parametrize("line", ("L = inf", "L = nan", "t_end = inf", "rtol = nan",
@@ -338,6 +359,19 @@ def test_simulate_rejects_a_repeated_snapshot_before_any_work(tmp_path, monkeypa
     assert cli.main(["simulate", "--scenario", str(scen), "--mode", "macro-robin",
                      "--out", str(out)]) == 1
     assert "snapshot time 7.0 is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", (["simulate", "--mode", "micro"],
+                                     ["simulate", "--mode", "macro-robin"],
+                                     ["compare"]))
+@pytest.mark.parametrize("line", ("snapshots = 1, 1.0000001, 2", "order = 1",
+                                  "order = 9"))
+def test_scenario_rejected_before_any_output(tmp_path, command, line):
+    scen = tmp_path / "bad.cfg"
+    scen.write_text("[scenario]\nn = 16\nt_end = 2\n%s\n" % line)
+    out = tmp_path / "out"
+    assert cli.main(command + ["--scenario", str(scen), "--out", str(out)]) == 1
     assert not out.exists()
 
 

@@ -73,6 +73,18 @@ def test_zero_coefficients_never_stored():
     assert (0, 1, 0) not in p.terms
     q = p - var("x")
     assert q.terms == {}
+    # a float product that underflows to zero is not stored
+    tiny = TruncatedSeries(SP3, {(1, 0, 0): 1e-200})
+    prod = tiny * TruncatedSeries(SP3, {(0, 1, 0): 1e-200})
+    assert prod.terms == {} and prod.is_zero() and prod == 0
+    assert (tiny * 1e-200).terms == {}
+    # a repeated exponent tuple in a term list cancels
+    r = TruncatedSeries(SP3, [((0, 0, 1), F(1, 3)), ((1, 0, 0), 2), ((0, 0, 1), F(-1, 3))])
+    assert r.terms == {(1, 0, 0): F(2)}
+    # grading powers of one state monomial that cancel at grading 1
+    g = TruncatedSeries(NF, {(1, 0, 0, 0, 0): 0.25, (1, 0, 0, 0, 2): -0.25,
+                             (0, 1, 0, 0, 1): 1.5})
+    assert g.grading_at_one().terms == {(0, 1, 0, 0, 0): 1.5}
 
 
 def test_mismatched_variable_sets_error():
