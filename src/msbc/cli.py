@@ -35,6 +35,12 @@ _MODE_BC = {
 }
 
 
+_SCENARIO_KEYS = {
+    "scenario": ("name", "l", "n", "t_end", "snapshots", "rtol", "atol", "order"),
+    "boundary": ("a0", "b0", "al", "bl"),
+}
+
+
 class ScenarioError(ValueError):
     pass
 
@@ -102,6 +108,8 @@ class Scenario:
 
 
 def parse_scenario(path):
+    """Read a scenario file: only the sections and keys of ``_SCENARIO_KEYS``
+    (case-insensitive), each key at most once."""
     from . import solvers
 
     sections = {}
@@ -112,15 +120,23 @@ def parse_scenario(path):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                where = "%s:%d" % (path, lineno)
                 if line.startswith("[") and line.endswith("]"):
                     current = line[1:-1].strip().lower()
+                    if current not in _SCENARIO_KEYS:
+                        raise ScenarioError("%s: unknown section [%s]" % (where, current))
                     sections.setdefault(current, {})
                     continue
                 if "=" not in line or current is None:
-                    raise ScenarioError("%s:%d: expected 'key = value' inside a "
-                                        "section" % (path, lineno))
+                    raise ScenarioError("%s: expected 'key = value' inside a "
+                                        "section" % where)
                 key, val = (part.strip() for part in line.split("=", 1))
-                sections[current][key.lower()] = val
+                key = key.lower()
+                if key not in _SCENARIO_KEYS[current]:
+                    raise ScenarioError("%s: unknown key %r in [%s]" % (where, key, current))
+                if key in sections[current]:
+                    raise ScenarioError("%s: key %r repeated in [%s]" % (where, key, current))
+                sections[current][key] = val
     except OSError as ex:
         raise ScenarioError("cannot read scenario file: %s" % ex) from None
 
@@ -128,6 +144,8 @@ def parse_scenario(path):
     bd = sections.get("boundary", {})
     try:
         name = sc.get("name", os.path.splitext(os.path.basename(path))[0])
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ValueError("name %r must be a plain file name" % name)
         grid = solvers.Grid1D(L=float(sc.get("l", 30.0)), n=int(sc.get("n", 600)))
         t_end = float(sc.get("t_end", 21.0))
         snaps = tuple(float(s) for s in sc.get("snapshots", repr(t_end)).split(","))
@@ -339,10 +357,7 @@ def _run_mode(scenario, mode, deriv=None):
         return solvers.solve_macroscale(cfg)
     if deriv is None:
         deriv = Derivation(order=scenario.order, data=scenario.data)
-    bcl, bcr = deriv.bc_left, deriv.bc_right
-    if bc_mode == "robin-linearised":
-        bcl, bcr = bcl.linearized(), bcr.linearized()
-    return solvers.solve_macroscale(cfg, bcl, bcr)
+    return solvers.solve_macroscale(cfg, deriv.bc_left, deriv.bc_right)
 
 
 def _manifest(scenario, mode):
@@ -490,7 +505,7 @@ def main(argv=None):
             return cmd_simulate(args.scenario, args.mode, args.out)
         if args.command == "compare":
             return cmd_compare(args.scenario, args.out, args.window)
-    except (ScenarioError, ValueError) as ex:
+    except (ScenarioError, ValueError, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1
     except SolverError as ex:

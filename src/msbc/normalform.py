@@ -298,18 +298,10 @@ class ResonanceReport:
 
 
 @dataclass
-class CoordinateTransform:
-    """Physical fields as series in the separated coordinates: the graded
-    expansion over (s1..s4, eps)."""
-
-    series: SeriesVector
-    order: int
-    eps_order: int
-
-
-@dataclass
-class NormalFormEvolution:
-    """Reduced evolution ds_j/dx in the separated coordinates."""
+class GradedSeries:
+    """One half of a graded construction, expanded over (s1..s4, eps): the
+    coordinate transform (the physical fields in the separated coordinates)
+    or the reduced evolution ds_j/dx."""
 
     series: SeriesVector
     order: int
@@ -403,8 +395,8 @@ def check_order(order):
 
 
 def construct(system: SpatialSystem, order=3, eps_order=None):
-    """Graded view of an embedding: build (CoordinateTransform,
-    NormalFormEvolution, ResonanceReport)."""
+    """Graded view of an embedding: build (transform, evolution,
+    ResonanceReport), the first two as ``GradedSeries``."""
     check_order(order)
     cmap = coordinate_map()
     if eps_order is None:
@@ -492,8 +484,8 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
             p.derivs = None
 
     space = Space(NF_VARS, order, grading="eps", grading_order=eps_order)
-    transform = CoordinateTransform(_assemble(T, space, _decode5), order, eps_order)
-    evolution = NormalFormEvolution(_assemble(G, space, _decode5), order, eps_order)
+    transform = GradedSeries(_assemble(T, space, _decode5), order, eps_order)
+    evolution = GradedSeries(_assemble(G, space, _decode5), order, eps_order)
     return transform, evolution, report
 
 
@@ -808,8 +800,8 @@ def verify_conjugacy(transform, evolution, system):
     parameter-1 pair against the collapsed system.  Independent of the
     sliced construction loop; every representable term must vanish.
     """
-    Tv = transform.series if isinstance(transform, CoordinateTransform) else transform
-    Gv = evolution.series if isinstance(evolution, NormalFormEvolution) else evolution
+    Tv, Gv = (v.series if isinstance(v, GradedSeries) else v
+              for v in (transform, evolution))
     space = Tv.space
     fT = _state_bindings(system, Tv)
     resid = []

@@ -4,12 +4,13 @@ The microscale system evolves the two stream temperatures with exchange,
 quadratic reaction, counter-advection and lateral diffusion, under Dirichlet
 values at both ends.  The macroscale model evolves the mean temperature with
 an effective cubic reaction, nonlinear advection and enhanced diffusion;
-its boundary closure is pluggable: heuristic Dirichlet values, the derived
-nonlinear Robin condition, or its linearisation.
+its boundary closure is chosen by ``SolveConfig.bc_mode``: heuristic
+Dirichlet values, the derived nonlinear Robin condition, or its linearisation.
 
 Spatial derivatives are second-order central differences; time integration
 uses a variable-order implicit (BDF) scheme with the analytic banded
-Jacobian of the discrete right-hand side.  Robin closures solve the boundary
+Jacobian of the discrete right-hand side, whose constant part is also the
+microscale difference operator.  Robin closures solve the boundary
 relation for the end value at every right-hand-side evaluation, differencing
 the gradient with a second-order one-sided stencil: the relation is then
 quadratic in the end value, so the root is taken in closed form, keeping the
@@ -557,6 +558,18 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, jac, band):
                      status=status, message=message, success=status >= 0)
 
 
+def _integrate(scale, cfg: SolveConfig, rhs, jac, y0, band):
+    """``solve_ivp`` from y0 at t = 0 to the snapshot times of ``cfg``; a
+    failed step raises ``SolverError`` naming the ``scale``."""
+    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, t_eval=list(cfg.snapshots),
+                    rtol=cfg.rtol, atol=cfg.atol, jac=jac, band=band)
+    if not sol.success:
+        reached = sol.t[-1] if len(sol.t) else 0.0
+        raise SolverError("%s integration failed at t=%.4g: %s"
+                          % (scale, reached, sol.message))
+    return sol
+
+
 def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
     """Right-hand side and analytic Jacobian of the two-stream system over
     the interior unknowns interleaved as y = (a_1, b_1, a_2, b_2, ...,
@@ -565,40 +578,14 @@ def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
     ``jac`` returns the (5, 2m) band of LAPACK order (see the module
     docstring): each stream's neighbours sit two places off the diagonal,
     the exchange between a_i and b_i one place off, and the reaction on the
-    diagonal.
+    diagonal.  ``rhs`` is the constant band times y plus the Dirichlet
+    values the end unknowns see and the reaction, so the two cannot disagree.
     """
     grid, data = cfg.grid, cfg.data
     n, dx = grid.n, grid.dx
     m = n - 1
     inv2dx = 1.0 / (2.0 * dx)
     invdx2 = 1.0 / (dx * dx)
-
-    def rhs(t, y):
-        a = np.empty(n + 1)
-        b = np.empty(n + 1)
-        a[1:n] = y[0::2]
-        b[1:n] = y[1::2]
-        a[0], b[0] = data.a0(t), data.b0(t)
-        a[n], b[n] = data.aL(t), data.bL(t)
-        ai, bi = a[1:n], b[1:n]
-        da = np.zeros(m)
-        db = np.zeros(m)
-        if exchange:
-            da += 0.5 * (bi - ai)
-            db += 0.5 * (ai - bi)
-        if reaction:
-            da += 0.5 * ai * ai
-            db -= 0.5 * bi * bi
-        if advection:
-            da -= (a[2:] - a[:-2]) * inv2dx
-            db += (b[2:] - b[:-2]) * inv2dx
-        if diffusion:
-            da += 3.0 * (a[2:] - 2.0 * ai + a[:-2]) * invdx2
-            db += 3.0 * (b[2:] - 2.0 * bi + b[:-2]) * invdx2
-        dy = np.empty(2 * m)
-        dy[0::2] = da
-        dy[1::2] = db
-        return dy
 
     # a advects forward and b backward; row 2 + i - j holds entry (i, j)
     adv = inv2dx if advection else 0.0
@@ -613,6 +600,21 @@ def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
     band[4, 0:-2:2] = dif + adv         # d(da_i)/d(a_{i-1})
     band[4, 1:-2:2] = dif - adv         # d(db_i)/d(b_{i-1})
     sign = np.tile([1.0, -1.0], m)
+
+    def rhs(t, y):
+        dy = band[2] * y
+        dy[:-1] += band[1, 1:] * y[1:]
+        dy[:-2] += band[0, 2:] * y[2:]
+        dy[1:] += band[3, :-1] * y[:-1]
+        dy[2:] += band[4, :-2] * y[:-2]
+        # the end unknowns see the Dirichlet values through their outer neighbours
+        dy[0] += (dif + adv) * data.a0(t)
+        dy[1] += (dif - adv) * data.b0(t)
+        dy[-2] += (dif - adv) * data.aL(t)
+        dy[-1] += (dif + adv) * data.bL(t)
+        if reaction:
+            dy += 0.5 * sign * y * y
+        return dy
 
     def jac(t, y):
         J = band.copy()
@@ -650,13 +652,7 @@ def solve_microscale(cfg: SolveConfig, *, initial=None,
         y0[0::2] = _nodal(a0v, n)[1:n]
         y0[1::2] = _nodal(b0v, n)[1:n]
     rhs, jac = _micro_system(cfg, reaction, advection, diffusion, exchange)
-
-    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, t_eval=list(cfg.snapshots),
-                    rtol=cfg.rtol, atol=cfg.atol, jac=jac, band=(2, 2))
-    if not sol.success:
-        reached = sol.t[-1] if len(sol.t) else 0.0
-        raise SolverError("microscale integration failed at t=%.4g: %s"
-                          % (reached, sol.message))
+    sol = _integrate("microscale", cfg, rhs, jac, y0, (2, 2))
 
     traj = FieldTrajectory(kind="micro", grid=grid)
     for k, t in enumerate(sol.t):
@@ -760,12 +756,15 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
             prev["left"], prev["right"] = c0, cn
         return c0, cn
 
-    def rhs(t, y):
+    def nodal(y, c0, cn):
+        """The nodal field C, its interior and the central gradient there."""
         C = np.empty(n + 1)
         C[1:n] = y
-        C[0], C[n] = closures(t, y)
-        Ci = C[1:n]
-        Cx = (C[2:] - C[:-2]) * inv2dx
+        C[0], C[n] = c0, cn
+        return C, C[1:n], (C[2:] - C[:-2]) * inv2dx
+
+    def rhs(t, y):
+        C, Ci, Cx = nodal(y, *closures(t, y))
         Cxx = (C[2:] - 2.0 * Ci + C[:-2]) * invdx2
         dC = 0.5 * Ci ** 3 - 2.0 * Ci * Cx + 4.0 * Cxx
         if source is not None:
@@ -774,11 +773,7 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
 
     def jac(t, y):
         (c0, dl1, dl2), (cn, dr1, dr2) = ends(t, y)
-        C = np.empty(n + 1)
-        C[1:n] = y
-        C[0], C[n] = c0, cn
-        Ci = C[1:n]
-        Cx = (C[2:] - C[:-2]) * inv2dx
+        _, Ci, Cx = nodal(y, c0, cn)
         J = np.zeros((3, m))
         up, diag, lo = J[0, 1:], J[1], J[2, :-1]
         diag[:] = 1.5 * Ci * Ci - 2.0 * Cx - 8.0 * invdx2
@@ -801,7 +796,8 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
     """Integrate the mean-field model with the configured boundary closure.
 
     ``bc_left``/``bc_right`` are RobinBC objects for the robin modes and
-    ignored in dirichlet mode, where the end values are the data means.
+    ignored in dirichlet mode, where the end values are the data means;
+    ``robin-linearised`` imposes and checks their ``linearized()`` forms.
     ``source`` is an optional manufactured forcing f(x, t) used by the
     verification tests.
     """
@@ -810,16 +806,12 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
     robin = cfg.bc_mode != "dirichlet-heuristic"
     if robin and (bc_left is None or bc_right is None):
         raise ValueError("robin modes need both boundary conditions")
+    if cfg.bc_mode == "robin-linearised":
+        bc_left, bc_right = bc_left.linearized(), bc_right.linearized()
     rhs, jac, closures, _ = _macro_system(cfg, bc_left, bc_right, source)
 
     y0 = np.zeros(n - 1) if initial is None else _nodal(initial, n)[1:n]
-
-    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, t_eval=list(cfg.snapshots),
-                    rtol=cfg.rtol, atol=cfg.atol, jac=jac, band=(1, 1))
-    if not sol.success:
-        reached = sol.t[-1] if len(sol.t) else 0.0
-        raise SolverError("macroscale integration failed at t=%.4g: %s"
-                          % (reached, sol.message))
+    sol = _integrate("macroscale", cfg, rhs, jac, y0, (1, 1))
 
     traj = FieldTrajectory(kind="macro", grid=grid)
     for k, t in enumerate(sol.t):

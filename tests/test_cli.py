@@ -330,6 +330,17 @@ def test_scenario_parse_errors(tmp_path):
     f7.write_text("[scenario]\nt_end = 2\nsnapshots = 1, 1.0000001, 2\n")
     with pytest.raises(cli.ScenarioError, match="1.0 and 1.0000001 share the file label t1"):
         cli.parse_scenario(str(f7))
+    for text, message in (("[scenario]\nsnapshot = 1\n", "unknown key 'snapshot'"),
+                          ("[boundry]\na0 = 0.2\n", r"unknown section \[boundry\]"),
+                          ("[scenario]\nn = 16\nN = 32\n", "key 'n' repeated"),
+                          ("[boundary]\na0 = 0\n[boundary]\na0 = 1\n", "key 'a0' repeated"),
+                          ("[scenario]\nname =\n", "name ''"),
+                          ("[scenario]\nname = .\n", "name '.'"),
+                          ("[scenario]\nname = ..\n", r"name '\.\.'")):
+        f8 = tmp_path / "keys.cfg"
+        f8.write_text(text)
+        with pytest.raises(cli.ScenarioError, match=message):
+            cli.parse_scenario(str(f8))
 
 
 @pytest.mark.parametrize("line", ("L = inf", "L = nan", "t_end = inf", "rtol = nan",
@@ -373,6 +384,27 @@ def test_scenario_rejected_before_any_output(tmp_path, command, line):
     out = tmp_path / "out"
     assert cli.main(command + ["--scenario", str(scen), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ("../escaped", "sub/x"))
+def test_scenario_name_cannot_leave_the_output_directory(tmp_path, capsys, name):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    scen = runs / "bad.cfg"
+    scen.write_text("[scenario]\nname = %s\nn = 16\nt_end = 2\n" % name)
+    out = runs / "out"
+    assert cli.main(["simulate", "--mode", "micro", "--scenario", str(scen),
+                     "--out", str(out)]) == 1
+    assert "must be a plain file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg", "runs"]
+
+
+def test_output_errors_exit_1_without_a_traceback(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["derive", "--order", "2", "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_compare_flags_unvalidated_amplitude(tmp_path):

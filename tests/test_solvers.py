@@ -271,6 +271,31 @@ def test_micro_jacobian_matches_central_difference(off):
     _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y, band=(2, 2))
 
 
+@pytest.mark.parametrize("off", (None,) + SWITCHES)
+def test_micro_rhs_matches_the_finite_difference_formulas(off):
+    """The band-times-y right-hand side against the central differences
+    written out on the nodal fields."""
+    on = {k: k != off for k in SWITCHES}
+    data = BoundaryData(a0=0.3, b0=-0.2, aL=0.1, bL=0.25)
+    cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=data)
+    rhs, _ = solvers._micro_system(cfg, **on)
+    y = np.empty(62)
+    y[0::2], y[1::2] = _profile(31, 4), -_profile(31, 5)
+    a = np.concatenate(([0.3], y[0::2], [0.1]))
+    b = np.concatenate(([-0.2], y[1::2], [0.25]))
+    ai, bi, dx = a[1:-1], b[1:-1], cfg.grid.dx
+    da = (on["exchange"] * 0.5 * (bi - ai) + on["reaction"] * 0.5 * ai * ai
+          - on["advection"] * (a[2:] - a[:-2]) / (2.0 * dx)
+          + on["diffusion"] * 3.0 * (a[2:] - 2.0 * ai + a[:-2]) / dx ** 2)
+    db = (on["exchange"] * 0.5 * (ai - bi) - on["reaction"] * 0.5 * bi * bi
+          + on["advection"] * (b[2:] - b[:-2]) / (2.0 * dx)
+          + on["diffusion"] * 3.0 * (b[2:] - 2.0 * bi + b[:-2]) / dx ** 2)
+    expected = np.empty(62)
+    expected[0::2], expected[1::2] = da, db
+    # terms of order one, summed in another order: a few units of float rounding
+    np.testing.assert_allclose(rhs(2.0, y), expected, rtol=0, atol=1e-14)
+
+
 def _macro(mode, bcs=(None, None), source=None):
     cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=reference_data(),
                       bc_mode=mode)
@@ -354,6 +379,17 @@ def test_macro_linearised_robin_jacobian(derivation):
     _, (rhs, jac, _, _) = _macro("robin-linearised", bcs)
     y = _profile(31, 6)
     _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y)
+
+
+def test_linearised_mode_linearises_the_derived_pair(derivation):
+    cfg = SolveConfig(grid=Grid1D(L=30.0, n=64), t_end=7.0, data=derivation["data"],
+                      snapshots=(3.5, 7.0), bc_mode="robin-linearised")
+    bcs = derivation["bc_left"], derivation["bc_right"]
+    derived = solvers.solve_macroscale(cfg, *bcs)
+    linear = solvers.solve_macroscale(cfg, *(bc.linearized() for bc in bcs))
+    assert len(derived.states) == len(linear.states) == 2
+    for got, want in zip(derived.states, linear.states):
+        assert got.t == want.t and np.array_equal(got.C, want.C)
 
 
 def _sweep_config(derivation, mode, n=300):
