@@ -172,17 +172,20 @@ def parse_scenario(path):
                                  % (prev, s, s))
     except (ValueError, TypeError) as ex:
         raise ScenarioError("bad scenario %s: %s" % (path, ex)) from None
-    return Scenario(name, grid, t_end, snaps, data, rtol, atol, order)
+    return Scenario(name, grid, t_end, cfg.snapshots, data, rtol, atol, order)
 
 
 def _cross_tolerance():
-    raw = os.environ.get("MSBC_SEED_TOLERANCE")
-    if raw is None:
-        return 1e-12
+    """``MSBC_SEED_TOLERANCE`` (a finite number >= 0), else 1e-12."""
+    raw = os.environ.get("MSBC_SEED_TOLERANCE", "1e-12")
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        raise ScenarioError("MSBC_SEED_TOLERANCE is not a number: %r" % raw)
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise ScenarioError("MSBC_SEED_TOLERANCE must be a finite number >= 0, "
+                            "got %r" % raw)
+    return tol
 
 
 class Derivation:
@@ -200,14 +203,13 @@ class Derivation:
             self.transform, data or BoundaryData())
 
 
-def _cross_validate(deriv, eps_order=None):
+def _cross_validate(deriv, tolerance, eps_order=None):
     """Build embedding A's graded view and check the derivation against both
     embeddings; returns (A's resonance report, the cross-check)."""
     transform, evolution, report = normalform.construct(
         system.build_embedding("A"), order=deriv.order, eps_order=eps_order)
     cross = normalform.cross_validate_embeddings(
-        transform, evolution, (deriv.transform, deriv.evolution),
-        tolerance=_cross_tolerance())
+        transform, evolution, (deriv.transform, deriv.evolution), tolerance=tolerance)
     return report, cross
 
 
@@ -290,9 +292,10 @@ def cmd_derive(order, out_dir, eps_order=None):
     normalform.check_order(order)
     if eps_order is not None and eps_order < 0:
         raise ScenarioError("eps order must be non-negative")
+    tolerance = _cross_tolerance()
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=order)
-    report, cross = _cross_validate(deriv, eps_order)
+    report, cross = _cross_validate(deriv, tolerance, eps_order)
 
     _write(os.path.join(out_dir, "derivation_report.txt"),
            derivation_report(deriv, report, cross))
@@ -386,9 +389,10 @@ def cmd_compare(scenario_file, out_dir, window=None):
         solvers.interior_mask(scenario.grid, window)
     except ValueError as ex:
         raise ScenarioError(str(ex)) from None
+    tolerance = _cross_tolerance()
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=scenario.order, data=scenario.data)
-    _, cross = _cross_validate(deriv)
+    _, cross = _cross_validate(deriv, tolerance)
 
     micro = _run_mode(scenario, "micro")
     runs = {}

@@ -32,12 +32,14 @@ the separated sector each resums exactly onto it, which
 
 Both views run on one construction kernel.  ``_homological_residual``
 assembles each degree's residual from the slices below it (the parameter
-shift only in the graded view), ``_pin_slow`` holds the slow-manifold
-parametrisation, ``_lift`` maps solved coefficients back to the state and
-``_assemble`` turns the slices into series.  The parameter-1 view takes its
-kernel, Jordan step and fast eigenvectors from one ``linalg.eigen`` call on
-the unembedded matrix, and solves its coupled kernel slots with
-``linalg.solve``.
+shift only in the graded view), and ``_in_normal_coords`` projects it onto
+the separated coordinates.  The parameter-1 view's knob influence is the same
+residual of the unit kernel slot alone (the residual is linear in the slice
+one degree down).  ``_pin_slow`` holds the slow-manifold parametrisation,
+``_lift`` maps solved coefficients back to the state and ``_assemble`` turns
+the slices into series.  The parameter-1 view takes its kernel, Jordan step
+and fast eigenvectors from one ``linalg.eigen`` call on the unembedded
+matrix, and solves its coupled kernel slots with ``linalg.solve``.
 
 A slice (one component's terms of one degree) is a dict while a step still
 writes it, and is frozen once it is finished: packed into a list of
@@ -260,6 +262,22 @@ def _assemble(slices, space, decode):
     return SeriesVector(comps)
 
 
+def _in_normal_coords(R, t1inv):
+    """Rows of t1inv·R, one per monomial key, in first-seen key order."""
+    rows = {}
+    for c in range(4):
+        for key, v in R[c].items():
+            row = rows.setdefault(key, [Fraction(0)] * 4)
+            for i in range(4):
+                if t1inv[i][c] != 0:
+                    row[i] = row[i] + t1inv[i][c] * v
+    return rows
+
+
+def _dot(row, vec):
+    return sum(r * v for r, v in zip(row, vec))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -337,13 +355,10 @@ def _aligned_eigenbasis(system: SpatialSystem, cmap):
     if not exact:
         kernel = [[float(x) for x in v] for v in kernel]
 
-    def dot(row, vec):
-        return sum(r * v for r, v in zip(row, vec))
-
     rows = cmap.rows if exact else [[float(x) for x in r] for r in cmap.rows]
     # slow columns: combinations of the kernel with rows 1,2 of the map
-    a11, a12 = dot(rows[0], kernel[0]), dot(rows[0], kernel[1])
-    a21, a22 = dot(rows[1], kernel[0]), dot(rows[1], kernel[1])
+    a11, a12 = _dot(rows[0], kernel[0]), _dot(rows[0], kernel[1])
+    a21, a22 = _dot(rows[1], kernel[0]), _dot(rows[1], kernel[1])
     det = a11 * a22 - a12 * a21
     if det == 0:
         raise ConstructionRefused("slow eigenvectors degenerate under the map")
@@ -361,7 +376,7 @@ def _fast_column(basis, row):
     """The simple fast eigenvector, normalised against its map row (3 or 4)."""
     if len(basis) != 1:
         raise ConstructionRefused("fast eigenspaces must be simple")
-    scale = sum(r * v for r, v in zip(row, basis[0]))
+    scale = _dot(row, basis[0])
     if scale == 0:
         raise ConstructionRefused("fast eigenvector orthogonal to its map row")
     return [x / scale for x in basis[0]]
@@ -439,9 +454,9 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
         if keys:
             psi = [{} for _ in range(4)]
             g = [{} for _ in range(4)]
+            rows = _in_normal_coords(R, t1inv)
             for key in keys:
-                rvals = [sum(t1inv[i][c] * R[c][key] for c in range(4) if key in R[c])
-                         for i in range(4)]
+                rvals = rows[key]
                 m3, m4 = (key >> 8) & 15, (key >> 12) & 15
                 mono = _decode5(key)
                 for i in range(4):
@@ -532,14 +547,11 @@ def construct_at_unity(system: SpatialSystem, order=3):
         raise ConstructionRefused("collapsed spectrum outside the handled family")
     by_val = dict(zip((lam for lam, _ in eig.values), eig.vectors))
 
-    def dot(row, vec):
-        return sum(r * v for r, v in zip(row, vec))
-
     kernel = by_val[0]
     if len(kernel) != 1:
         raise ConstructionRefused("collapsed zero eigenspace must be a single line")
     c1 = kernel[0]
-    s = dot(cmap.rows[0], c1)
+    s = _dot(cmap.rows[0], c1)
     if s == 0:
         raise ConstructionRefused("slow eigenvector orthogonal to the mean row")
     c1 = [x / s for x in c1]
@@ -550,14 +562,14 @@ def construct_at_unity(system: SpatialSystem, order=3):
     c2 = [x / s for x in c2]
     # normalise the generalised column against map rows 1 and 2
     #   c2 -> c2 + t*c1 with row1·c2 = 0, then scale pair so row2·c2 = 1
-    t = -dot(cmap.rows[0], c2) / dot(cmap.rows[0], c1)
+    t = -_dot(cmap.rows[0], c2) / _dot(cmap.rows[0], c1)
     c2 = [x + t * y for x, y in zip(c2, c1)]
-    s2 = dot(cmap.rows[1], c2)
+    s2 = _dot(cmap.rows[1], c2)
     if s2 == 0:
         raise ConstructionRefused("generalised direction orthogonal to the gradient row")
     c2 = [x / s2 for x in c2]
     c1 = [x * s2 for x in c1]  # keeps A·c2 = c1 with a unit nilpotent entry
-    s1 = dot(cmap.rows[0], c1)
+    s1 = _dot(cmap.rows[0], c1)
     c1 = [x / s1 for x in c1]
     c2 = [x / s1 for x in c2]
     cols = [c1, c2, _fast_column(by_val[-mu], cmap.rows[2]),
@@ -613,37 +625,17 @@ def construct_at_unity(system: SpatialSystem, order=3):
         slots.sort()
         return slots
 
-    def in_normal_coords(R):
-        """Rows of t1inv·R, one per monomial key."""
-        rows = {}
-        for c in range(4):
-            for key, v in R[c].items():
-                row = rows.setdefault(key, [Fraction(0)] * 4)
-                for i in range(4):
-                    if t1inv[i][c] != 0:
-                        row[i] = row[i] + t1inv[i][c] * v
-        return rows
-
-    def knob_influence(j, key):
+    def knob_influence(j, key, d):
         phi = [_pack({key: t1[c][j]} if t1[c][j] != 0 else {}) for c in range(4)]
-        out = [{} for _ in range(4)]
-        G2 = G.get(2)
-        for c in range(4):
-            for (i1, i2, coef) in quad[c]:
-                _mul_slice(T[1][i1], phi[i2], order, 0, out[c], coef)
-                _mul_slice(phi[i1], T[1][i2], order, 0, out[c], coef)
-            if G2:
-                for jv in range(4):
-                    if G2[jv] and phi[c]:
-                        _mul_slice(_derivative(phi[c], jv), G2[jv], order, 0,
-                                   out[c], -1)
-        return in_normal_coords(out)
+        R = _homological_residual({1: T[1], d - 1: phi}, G, quad, None, d, order, 0)
+        return _in_normal_coords(R, t1inv)
 
     leftovers = []
     retained = []
     pending = []
     for d in range(2, order + 1):
-        rvec = in_normal_coords(_homological_residual(T, G, quad, None, d, order, 0))
+        rvec = _in_normal_coords(_homological_residual(T, G, quad, None, d, order, 0),
+                                 t1inv)
 
         def rget(i, key):
             row = rvec.get(key)
@@ -665,9 +657,7 @@ def construct_at_unity(system: SpatialSystem, order=3):
         cross_now = cross_kernel_slots(d)
         unknowns = [("psi", i, key) for (i, key) in cross_now]
         unknowns += [("knob", i, key) for (i, key) in pending]
-        influences = {}
-        for (i, key) in pending:
-            influences[(i, key)] = knob_influence(i, key)
+        influences = {(i, key): knob_influence(i, key, d) for (i, key) in pending}
         # every cross-class slot at this degree is a row of the solve, so a
         # kernel assignment can never silently unbalance a quiet slot
         targets = sorted(cross_now, key=lambda t: (t[1], t[0]))

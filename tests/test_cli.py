@@ -296,6 +296,40 @@ def test_seed_tolerance_override(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "loose")]) == 0
 
 
+@pytest.mark.parametrize("command", ("derive", "compare"))
+@pytest.mark.parametrize("value", ("inf", "nan", "-1"))
+def test_seed_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, capsys,
+                                                       small_scenario, command, value):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no construction may start on a bad tolerance")
+
+    monkeypatch.setattr(normalform, "construct_at_unity", forbidden)
+    monkeypatch.setenv("MSBC_SEED_TOLERANCE", value)
+    out = tmp_path / "out"
+    args = ["--order", "2"] if command == "derive" else ["--scenario", small_scenario]
+    assert cli.main([command] + args + ["--out", str(out)]) == 1
+    assert "MSBC_SEED_TOLERANCE must be a finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_keeps_its_snapshots_in_time_order(tmp_path):
+    scen = tmp_path / "late.cfg"
+    scen.write_text("[scenario]\nname = late\nn = 16\nt_end = 2\nsnapshots = 2, 1\n"
+                    "order = 2\n")
+    assert cli.parse_scenario(str(scen)).snapshots == (1.0, 2.0)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", str(scen), "--mode", "macro-dirichlet",
+                     "--out", str(out)]) == 0
+    assert "snapshots = 1.0, 2.0\n" in read(out / "late_macro-dirichlet_manifest.txt")
+    assert cli.main(["compare", "--scenario", str(scen), "--out", str(out)]) == 0
+    rows = [float(line.split()[0]) for line in read(out / "late_comparison.txt").splitlines()
+            if "ratio robin/dirichlet" in line]
+    assert rows == [1.0, 2.0]
+    titles = [line for line in read(out / "late_plots.gp").splitlines()
+              if line.startswith("set title")]
+    assert titles == ["set title 'snapshot t=1'", "set title 'snapshot t=2'"]
+
+
 def test_scenario_parse_errors(tmp_path):
     f = tmp_path / "nosect.cfg"
     f.write_text("a0 = 1\n")

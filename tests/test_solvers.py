@@ -3,6 +3,7 @@ import dataclasses
 import math
 import os
 import sys
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import scipy.integrate
 from scipy import sparse
 from scipy.linalg import lapack
 
-from msbc import cli, solvers
+from msbc import boundary, cli, solvers
 from msbc.boundary import BoundaryData
+from msbc.series import Space, TruncatedSeries
 from msbc.solvers import Grid1D, MacroState, SolveConfig, SolverError
 
 from conftest import reference_data
@@ -390,6 +392,22 @@ def test_linearised_mode_linearises_the_derived_pair(derivation):
     assert len(derived.states) == len(linear.states) == 2
     for got, want in zip(derived.states, linear.states):
         assert got.t == want.t and np.array_equal(got.C, want.C)
+
+
+def test_macro_robin_snapshot_violating_its_relation_is_an_error():
+    # constant conditions C - Cx^2 = 1 and C + Cx^2 = -1: near a zero interior
+    # neither has a real root in the end value, the closure falls back to the
+    # vertex, and the snapshot check must refuse the state
+    sp2 = Space(("a0", "b0"), 2)
+    quiet = (lambda t: 0.0, lambda t: 0.0)
+    bcs = [boundary.RobinBC(P=TruncatedSeries.zero(sp2), Q=F(q),
+                            R=TruncatedSeries(sp2, {(0, 0): F(q)}), side=side, data=quiet)
+           for q, side in ((1, "left"), (-1, "right"))]
+    cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=zero_data(),
+                      bc_mode="robin-derived")
+    with pytest.raises(SolverError, match=r"^boundary relation unsatisfied at t=1 on the "
+                                          r"left end \(residual 2\.255e-01\)"):
+        solvers.solve_macroscale(cfg, *bcs)
 
 
 def _sweep_config(derivation, mode, n=300):
