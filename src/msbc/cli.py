@@ -276,6 +276,7 @@ def derivation_report(deriv: Derivation, report, cross):
     push("[embedding cross-validation]")
     push("max coefficient discrepancy: %.6e" % cross.max_discrepancy)
     push("resummation agreement gap:   %.6e" % cross.resummation_gap)
+    push("resummation tail estimate: %.6e" % cross.tail_estimate)
     push("tolerance: %.1e    verdict: %s"
          % (cross.tolerance, "PASS" if cross.identical else "FAIL"))
     push("")
@@ -321,8 +322,9 @@ def cmd_derive(order, out_dir, eps_order=None):
            deriv.bc_left.serialize() + "\n" + deriv.bc_right.serialize() + "\n"
            + "linearised " + deriv.bc_left.linearized().serialize() + "\n")
     if not cross.identical:
-        raise SolverError("embedding cross-validation failed: discrepancy %.3e"
-                          % cross.max_discrepancy)
+        raise SolverError("embedding cross-validation failed: discrepancy %.3e, "
+                          "resummation tail estimate %.3e"
+                          % (cross.max_discrepancy, cross.tail_estimate))
     return 0
 
 

@@ -26,9 +26,12 @@ from the unembedded system: through cubic order the slow equations involve
 slow variables only and each fast equation is divisible by its own variable
 (beyond cubic order a few resonant obstructions are genuine; they are kept
 and surfaced, never dropped).  It is the object the boundary-condition
-derivation consumes.  The graded views of the embeddings only verify it: on
-the separated sector each resums exactly onto it, which
-``cross_validate_embeddings`` checks.
+derivation consumes.  The graded views of the embeddings only verify it, on
+the separated sector, in ``cross_validate_embeddings``: embedding A's
+parameter series terminate and sum exactly onto it, and embedding B's,
+which do not, are resummed by Wynn's epsilon-algorithm on their partial
+sums to the cap, with the change over the last few parameter degrees as
+the estimate of what the cap leaves out.
 
 Both views run on one construction kernel.  ``_homological_residual``
 assembles each degree's residual from the slices below it (the parameter
@@ -54,6 +57,8 @@ frozen again after the write; the packing the residual read is dropped.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,7 +70,9 @@ from .system import SpatialSystem, coordinate_map
 
 NF_VARS = ("s1", "s2", "s3", "s4", "eps")
 NF_STATE = ("s1", "s2", "s3", "s4")
-DEFAULT_EPS_ORDER = 48
+DEFAULT_EPS_ORDER = 36
+WYNN_WIDTH = 11  # partial sums per Wynn table: the epsilon_10 column
+TAIL_STEP = 4    # parameter degrees dropped for the tail estimate
 _EIGEN_PATTERN = (0, 0, -1, 1)  # integer multiples of mu per component
 
 
@@ -818,18 +825,61 @@ def _separated_sector(series):
     return out
 
 
+def _separated_partial_sums(series, eps_order):
+    """Per separated-sector state monomial, its partial sums over the
+    parameter degrees 0..eps_order."""
+    coefs = {}
+    for e, c in series.terms.items():
+        if min(e[2], e[3]) == 0:
+            coefs.setdefault(e[:4], [0.0] * (eps_order + 1))[e[4]] = c
+    return {m: list(itertools.accumulate(cs)) for m, cs in coefs.items()}
+
+
+def wynn_epsilon(sums):
+    """Wynn's epsilon-algorithm on the last ``WYNN_WIDTH`` partial sums.
+
+    Returns the deepest even column's last entry: with the full width the
+    epsilon_10 column, the [5/5] Pade value of the series.  A zero
+    difference anywhere in the table (a sequence that has stopped moving,
+    in the partial sums or in a converged column) returns the last entry of
+    the deepest even column reached, so a terminated series gives its last
+    partial sum; fewer than 3 sums give the last one.
+    """
+    if len(sums) < 3:
+        return sums[-1]
+    col = list(sums[-WYNN_WIDTH:])
+    prev = [0] * (len(col) + 1)
+    best = col[-1]
+    for k in range(1, 2 * ((len(col) - 1) // 2) + 1):
+        nxt = []
+        for i in range(len(col) - 1):
+            diff = col[i + 1] - col[i]
+            if diff == 0:
+                return best
+            nxt.append(prev[i + 1] + 1 / diff)
+        prev, col = col, nxt
+        if k % 2 == 0:
+            best = col[-1]
+    return best
+
+
 @dataclass
 class CrossCheck:
     """Agreement of the two embedding families at parameter value 1.
 
     ``max_discrepancy`` compares the resummed separated sectors of the two
     graded constructions coefficientwise; ``resummation_gap`` compares the
-    resummation of embedding A against the parameter-1 construction.
+    resummation of embedding A against the parameter-1 construction;
+    ``tail_estimate`` is the largest change of embedding B's Wynn value when
+    its last ``TAIL_STEP`` parameter degrees are dropped (infinite when the
+    cap is below ``TAIL_STEP``).  The check passes when all three are within
+    ``tolerance``.
     """
 
     identical: bool
     max_discrepancy: float
     resummation_gap: float
+    tail_estimate: float
     order: int
     eps_order: int
     tolerance: float
@@ -844,13 +894,18 @@ def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
     ``transform`` and ``evolution`` are the caller's graded construction of
     embedding A; ``direct`` is the (transform, evolution) pair that
     ``construct_at_unity`` built at the same order.  Only embedding B's
-    graded view is built here, at A's ``order`` and ``eps_order``.  Both
-    graded views are resummed at parameter value 1 by
-    ``TruncatedSeries.grading_at_one``: each state monomial's coefficients
-    are summed over the parameter powers in stored term order, and sums
-    that cancel to zero are dropped.  The separated sectors of the resummed
-    series are then compared coefficientwise with each other and with the
-    parameter-1 pair.
+    graded view is built here, at A's ``order`` and ``eps_order`` (K).
+
+    A's parameter series terminate (at degree 10 at order 3), so A is
+    resummed exactly by ``TruncatedSeries.grading_at_one``: each state
+    monomial's coefficients are summed over the parameter powers in stored
+    term order, and sums that cancel to zero are dropped.  B's series do
+    not terminate; each separated-sector monomial of B is resummed by
+    ``wynn_epsilon`` on its partial sums over parameter degree 0..K.  The
+    separated sectors are compared coefficientwise with each other and A
+    with the parameter-1 pair.  The tail estimate reads B's convergence
+    from the same build: the largest change of B's Wynn value between the
+    partial sums to K and to K - ``TAIL_STEP``.
     """
     from .system import build_embedding
 
@@ -858,14 +913,18 @@ def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
     tB, gB, _ = construct(build_embedding("B"), order=order, eps_order=eps_order)
     worst = 0.0
     gap = 0.0
+    tail = 0.0 if eps_order >= TAIL_STEP else math.inf
     for a, b, unit in zip((transform, evolution), (tB, gB), direct):
-        va = a.series.map(TruncatedSeries.grading_at_one)
-        vb = b.series.map(TruncatedSeries.grading_at_one)
-        for ca, cb, cu in zip(va, vb, unit):
-            da, db = _separated_sector(ca), _separated_sector(cb)
+        for ca, cb, cu in zip(a.series, b.series, unit):
+            da = _separated_sector(ca.grading_at_one())
+            sums = _separated_partial_sums(cb, eps_order)
+            db = {m: wynn_epsilon(s) for m, s in sums.items()}
+            if eps_order >= TAIL_STEP:
+                for m, s in sums.items():
+                    tail = max(tail, abs(db[m] - wynn_epsilon(s[:-TAIL_STEP])))
             for key in set(da) | set(db):
                 worst = max(worst, abs(float(da.get(key, 0)) - float(db.get(key, 0))))
             for key in set(da) | {e for e in cu.terms if min(e[2], e[3]) == 0}:
                 gap = max(gap, abs(float(da.get(key, 0)) - float(cu.terms.get(key, 0))))
-    return CrossCheck(worst <= tolerance and gap <= tolerance,
-                      worst, gap, order, eps_order, tolerance)
+    passed = worst <= tolerance and gap <= tolerance and tail <= tolerance
+    return CrossCheck(passed, worst, gap, tail, order, eps_order, tolerance)

@@ -296,6 +296,16 @@ def test_seed_tolerance_override(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "loose")]) == 0
 
 
+def test_derive_fails_when_the_resummation_tail_exceeds_the_tolerance(tmp_path, capsys):
+    out = tmp_path / "short"
+    assert cli.main(["derive", "--order", "3", "--eps-order", "20", "--out", str(out)]) == 2
+    assert re.search(r"discrepancy \d\.\d{3}e[-+]\d\d, resummation tail estimate "
+                     r"\d\.\d{3}e[-+]\d\d", capsys.readouterr().err)
+    tail = re.search(r"resummation tail estimate: (\S+)",
+                     read(out / "derivation_report.txt")).group(1)
+    assert float(tail) > 1e-12
+
+
 @pytest.mark.parametrize("command", ("derive", "compare"))
 @pytest.mark.parametrize("value", ("inf", "nan", "-1"))
 def test_seed_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, capsys,

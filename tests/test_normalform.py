@@ -8,6 +8,8 @@ occasionally double rounding, e.g. -2.25 printed as -2.3).
 """
 
 import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -301,6 +303,59 @@ def test_cross_validation_identity_and_orders(constructed, at_unity):
     assert cc.max_discrepancy <= 1e-12
     assert cc.resummation_gap == 0.0
     assert (cc.order, cc.eps_order) == (3, normalform.DEFAULT_EPS_ORDER)
+    # the default cap keeps B's resummation tail a tenth of the tolerance
+    assert lower.tail_estimate <= 1e-13
+    assert cc.tail_estimate <= 1e-13
+    assert "%.6e" % lower.max_discrepancy == "2.664535e-15"
+
+
+@pytest.mark.parametrize("ratio", (0.5, -0.7, 0.38, 0.9))
+def test_wynn_is_exact_on_a_geometric_series(ratio):
+    sums = list(itertools.accumulate(ratio ** k for k in range(20)))
+    assert abs(sums[-1] - 1 / (1 - ratio)) > 1e-9
+    assert normalform.wynn_epsilon(sums) == pytest.approx(1 / (1 - ratio), rel=1e-14)
+    q = F(ratio).limit_denominator(10)
+    exact = list(itertools.accumulate(q ** k for k in range(20)))
+    assert normalform.wynn_epsilon(exact) == 1 / (1 - q)
+
+
+def test_wynn_returns_the_last_sum_when_it_cannot_extrapolate():
+    assert normalform.wynn_epsilon([1.0, 1.5, 1.75] + [1.75] * 10) == 1.75
+    assert normalform.wynn_epsilon([0.1, 0.3, 0.6, 0.6]) == 0.6
+    assert normalform.wynn_epsilon([2.0]) == 2.0
+    assert normalform.wynn_epsilon([1.0, 3.0]) == 3.0
+
+
+def test_wynn_shifts_with_a_constant_added_to_every_sum():
+    sums = list(itertools.accumulate((-1) ** k / (k + 1) for k in range(15)))
+    base = normalform.wynn_epsilon(sums)
+    assert abs(base - math.log(2)) < 1e-9 < abs(sums[-1] - math.log(2))
+    for shift in (5.0, -3.25, 1e3, 0.1):
+        assert normalform.wynn_epsilon([s + shift for s in sums]) == \
+            pytest.approx(base + shift, abs=1e-12)
+
+
+@pytest.mark.parametrize("edeg", (0, 1, 2))
+def test_resummation_cannot_hide_a_shifted_coefficient_of_b(constructed, at_unity,
+                                                             monkeypatch, edeg):
+    real = normalform.construct
+
+    def shifted(*args, **kwargs):
+        transform, evolution, report = real(*args, **kwargs)
+        comps = list(transform.series)
+        terms = dict(comps[0].terms)
+        key = next(e for e in terms if e[4] == edeg and min(e[2], e[3]) == 0)
+        terms[key] += 1e-9
+        comps[0] = TruncatedSeries(comps[0].space, terms)
+        return (normalform.GradedSeries(SeriesVector(comps), transform.order,
+                                        transform.eps_order), evolution, report)
+
+    monkeypatch.setattr(normalform, "construct", shifted)
+    transform, evolution, _ = constructed
+    cc = normalform.cross_validate_embeddings(transform, evolution, at_unity[:2])
+    assert not cc.identical
+    assert cc.max_discrepancy >= 5e-10
+    assert cc.tail_estimate <= cc.tolerance
 
 
 def test_variant_against_itself_trivially_identical():
