@@ -9,7 +9,9 @@ the exchanger (swap the two streams with a sign flip and reverse space).
 
 All series here carry exact rational coefficients; boundary data enter only
 when a condition is evaluated numerically, so one derivation serves every
-scenario, with time-dependent data handled quasi-statically.
+scenario, with time-dependent data handled quasi-statically.  The
+derivation's variables are the solver fields divided by 3
+(``solvers.FIELD_SCALE``); ``RobinBC.rescaled`` carries a condition across.
 """
 
 from __future__ import annotations
@@ -151,6 +153,16 @@ class RobinBC:
     def residual(self, C, Cx, t):
         """C - P(t)·Cx - Q·Cx^2 - R(t); zero when the condition holds."""
         return C - self.P_at(t) * Cx - float(self.Q) * Cx * Cx - self.R_at(t)
+
+    def rescaled(self, k):
+        """The condition on fields ``k`` times these variables, C - P(a/k,
+        b/k)·Cx - (Q/k)·Cx^2 = k·R(a/k, b/k): each coefficient of P and R of
+        total data degree d gains the factor k^-d and k^(1-d)."""
+        def scale(poly, power):
+            return TruncatedSeries(poly.space, {e: c * Fraction(k) ** (power - sum(e))
+                                                for e, c in poly.terms.items()})
+        return RobinBC(P=scale(self.P, 0), Q=self.Q / k, R=scale(self.R, 1),
+                       side=self.side, data=self.data)
 
     def linearized(self):
         """Drop every quadratic term: the classic linear Robin condition."""

@@ -213,6 +213,13 @@ def _cross_validate(deriv, tolerance, eps_order=None):
     return report, cross
 
 
+def _cross_failure(cross):
+    """What fails an embedding cross-check: the discrepancy and the
+    resummation tail, as ``derive`` and ``compare`` both name them."""
+    return ("embedding cross-validation failed: discrepancy %.3e, resummation tail "
+            "estimate %.3e" % (cross.max_discrepancy, cross.tail_estimate))
+
+
 def _series_block(series_vector, labels):
     lines = []
     for label, comp in zip(labels, series_vector):
@@ -322,9 +329,7 @@ def cmd_derive(order, out_dir, eps_order=None):
            deriv.bc_left.serialize() + "\n" + deriv.bc_right.serialize() + "\n"
            + "linearised " + deriv.bc_left.linearized().serialize() + "\n")
     if not cross.identical:
-        raise SolverError("embedding cross-validation failed: discrepancy %.3e, "
-                          "resummation tail estimate %.3e"
-                          % (cross.max_discrepancy, cross.tail_estimate))
+        raise SolverError(_cross_failure(cross))
     return 0
 
 
@@ -409,9 +414,10 @@ def cmd_compare(scenario_file, out_dir, window=None):
     push("interior-error comparison over window [%g, %g]" % window)
     push("scenario: %s    grid n=%d    rtol=%g atol=%g"
          % (scenario.name, grid.n, scenario.rtol, scenario.atol))
-    push("derivation: order %d, embedding cross-check %s (max discrepancy %.3e)"
+    push("derivation: order %d, embedding cross-check %s (discrepancy %.3e, "
+         "resummation tail estimate %.3e)"
          % (scenario.order, "PASS" if cross.identical else "FAIL",
-            cross.max_discrepancy))
+            cross.max_discrepancy, cross.tail_estimate))
     if amp > 0.2 + 1e-12:
         push("warning: boundary amplitude %.3g exceeds the validated range 0.2"
              % amp)
@@ -470,7 +476,7 @@ def cmd_compare(scenario_file, out_dir, window=None):
         _write_csvs(traj, scenario.name, mode, out_dir)
     _write_csvs(micro, scenario.name, "micro", out_dir)
     if not cross.identical:
-        raise SolverError("embedding cross-validation failed")
+        raise SolverError(_cross_failure(cross))
     return 0
 
 

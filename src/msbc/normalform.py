@@ -220,12 +220,12 @@ def _homological_residual(T, G, quad, N, d, order, eps_order):
                 Ti, Tj = T.get(e), T.get(d - e)
                 if Ti and Tj:
                     _mul_slice(Ti[i], Tj[j], order, eps_order, R[c], coef)
-    prev = T.get(d - 1) if N is not None else None
-    if prev:
+    below = T.get(d - 1) if N is not None else None
+    if below:
         for c in range(4):
             for k in range(4):
-                if N[c][k] != 0 and prev[k]:
-                    _shift_eps(prev[k], eps_order, R[c], N[c][k])
+                if N[c][k] != 0 and below[k]:
+                    _shift_eps(below[k], eps_order, R[c], N[c][k])
     for e in range(2, d):
         Te, Gk = T.get(e), G.get(d + 1 - e)
         if not Te or not Gk:
@@ -848,7 +848,7 @@ def wynn_epsilon(sums):
     if len(sums) < 3:
         return sums[-1]
     col = list(sums[-WYNN_WIDTH:])
-    prev = [0] * (len(col) + 1)
+    older = [0] * (len(col) + 1)
     best = col[-1]
     for k in range(1, 2 * ((len(col) - 1) // 2) + 1):
         nxt = []
@@ -856,8 +856,8 @@ def wynn_epsilon(sums):
             diff = col[i + 1] - col[i]
             if diff == 0:
                 return best
-            nxt.append(prev[i + 1] + 1 / diff)
-        prev, col = col, nxt
+            nxt.append(older[i + 1] + 1 / diff)
+        older, col = col, nxt
         if k % 2 == 0:
             best = col[-1]
     return best

@@ -10,14 +10,17 @@ Dirichlet values, the derived nonlinear Robin condition, or its linearisation.
 Spatial derivatives are second-order central differences; time integration
 uses a variable-order implicit (BDF) scheme with the analytic banded
 Jacobian of the discrete right-hand side, whose constant part is also the
-microscale difference operator.  Robin closures solve the boundary
-relation for the end value at every right-hand-side evaluation, differencing
-the gradient with a second-order one-sided stencil: the relation is then
-quadratic in the end value, so the root is taken in closed form, keeping the
-branch nearest the previous end value (which tracks the branch connected to
-the linear condition) and falling back to the vertex of the quadratic when a
-trial state has no real root.  The Jacobian's end rows carry the end value's
-derivative, found by differentiating the quadratic implicitly.
+microscale difference operator.  A Robin closure takes the end gradient
+from the three interior values nearest the end with the second-order
+one-sided stencil (Fornberg, Math. Comp. 51, 1988), Cx(0) = (-5 C1 + 8 C2
+- 3 C3) / (2 dx), mirrored at the right end, so the relation gives the end
+value explicitly: C0 = R + P Cx + Q Cx^2.  Right-hand side and Jacobian are
+pure functions of (t, y).
+
+The derivation's variables are the solver fields divided by ``FIELD_SCALE``
+(see its comment), so ``solve_macroscale`` imposes the derived pair
+C - P(a0, b0) Cx - Q Cx^2 = R(a0, b0) as
+C - P(a0/3, b0/3) Cx - (Q/3) Cx^2 = 3 R(a0/3, b0/3) (``RobinBC.rescaled``).
 
 Both solves run on ``solve_ivp``, a variable-order NDF/BDF integrator
 (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997; Byrne & Hindmarsh,
@@ -26,20 +29,19 @@ a band Jacobian.  Each Jacobian is held in LAPACK band storage: with ``kl``
 sub- and ``ku`` super-diagonals, row ``ku + i - j`` of a (kl + ku + 1, m)
 array holds entry (i, j), and the corner entries that fall outside the
 matrix are unused.  The Newton matrix ``I - c J`` is kept in the same
-storage and factored by LAPACK with partial pivoting, O(m) work per
-factorisation; a zero pivot raises ``SolverError``.
+storage, factored by ``dgbtrf`` with partial pivoting, O(m) work per
+factorisation, and solved by ``dgbtrs``; a zero pivot raises ``SolverError``.
 
-The macroscale Jacobian is tridiagonal (the end values depend only on the
-two interior values nearest their end, which adds to the end rows' diagonal
-and off-diagonal): a (3, m) band, rows upper, main, lower, factored by
-``dgttrf`` and solved by ``dgttrs``.  In the microscale pair each stream is
-tridiagonal and the exchange couples a_i with b_i.  Stored stream after
-stream, that coupling would sit m places off the diagonal; the unknowns are
-therefore interleaved as (a_1, b_1, a_2, b_2, ...), which brings it next to
-the diagonal and each stream's neighbours two places off it: a (5, 2m)
-band, factored by ``dgbtrf`` and solved by ``dgbtrs`` with kl = ku = 2.
+Both Jacobians are (5, m) bands, kl = ku = 2.  The macroscale one is
+tridiagonal but for its end rows, which see their end value's dependence on
+the three interior values nearest that end.  In the microscale pair each
+stream is tridiagonal and the exchange couples a_i with b_i.  Stored stream
+after stream, that coupling would sit m places off the diagonal; the
+unknowns are therefore interleaved as (a_1, b_1, a_2, b_2, ...), which
+brings it next to the diagonal and each stream's neighbours two places off
+it.
 
-The four LAPACK routines are called through ``ctypes``.  They come from the
+The two LAPACK routines are called through ``ctypes``.  They come from the
 OpenBLAS that numpy's wheels bundle in ``numpy.libs``, which exports them as
 ``scipy_<routine>_64_`` with 64-bit integer arguments, so the solvers import
 no scipy.  Where that library or one of its symbols is missing (conda, MKL
@@ -56,17 +58,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryData, RobinBC, SolverError  # noqa: F401
+from .boundary import BoundaryData, SolverError  # noqa: F401
 
 DEFAULT_WINDOW = (5.0, 25.0)
+# The solver fields are FIELD_SCALE times the derivation's variables: the
+# steady microscale row, ``_micro_system``'s a-row divided by its diffusion
+# 3, is a_xx = a_x/3 + (a - b)/6 - a^2/6, which is ``system.build_original``'s
+# row a'' = a'/3 + (a - b)/6 - a^2/2 under a = 3 a~.
+FIELD_SCALE = 3
 
 _NUMPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
 _OPENBLAS_PREFIX = "libscipy_openblas64_"
 _OPENBLAS_SYMBOL = "scipy_%s_64_"
-_ROUTINES = ("dgttrf", "dgttrs", "dgbtrf", "dgbtrs")
-# the two solves take ``trans`` as a character, whose length a Fortran
-# routine receives as a trailing hidden argument (the C routines of
-# cython_lapack take no such argument and never read it)
+_ROUTINES = ("dgbtrf", "dgbtrs")
+# the solve takes ``trans`` as a character, whose length a Fortran routine
+# receives as a trailing hidden argument (the C routines of cython_lapack
+# take no such argument and never read it)
 _TRANS = ctypes.byref(ctypes.c_char(b"N"))
 _TRANS_LEN = ctypes.c_size_t(1)
 
@@ -75,14 +82,12 @@ _TRANS_LEN = ctypes.c_size_t(1)
 class _Lapack:
     source: str               # "openblas" | "cython_lapack"
     int_type: type            # the ctypes type of every integer argument
-    dgttrf: object
-    dgttrs: object
     dgbtrf: object
     dgbtrs: object
 
 
 def _load_lapack():
-    """The four band routines as ctypes functions, from the OpenBLAS in
+    """The two band routines as ctypes functions, from the OpenBLAS in
     ``_NUMPY_LIBS`` when it exports all of them, else from scipy's
     ``cython_lapack``."""
     addresses = None
@@ -301,61 +306,44 @@ class _BandBDF:
         self._n, self._one, self._kl, self._ku, self._ldab, self._info = (
             ctypes.byref(self._ints, k * ctypes.sizeof(int_type)) for k in range(6))
         self._ipiv_type = int_type * n
-        self._du2_type = ctypes.c_double * max(n - 2, 1)
         # the band solve works in place on this right-hand side, so that one
         # reference to it serves every solve
-        self._trs = self.lapack.dgttrs if self.kl == self.ku == 1 else self.lapack.dgbtrs
         self._rhs = np.zeros(n)
         self._rhs_args = (_ref(self._rhs), self._n, self._info, _TRANS_LEN)
 
     def _factor(self, A):
-        """LU factors of the band matrix ``A``, which ``dgttrf`` overwrites
-        for a tridiagonal band; otherwise ``dgbtrf`` factors a copy with its
-        kl extra rows for fill-in.  Returns the arrays that hold the factors
-        with the arguments of the band solve."""
+        """LU factors of the band matrix ``A``: ``dgbtrf`` factors a copy
+        with its kl extra rows for fill-in.  Returns the arrays that hold the
+        factors with the arguments of the band solve."""
         self.nlu += 1
         n = self.n
+        if A.shape != (self.kl + self.ku + 1, n):
+            raise ValueError("band has shape %r, expected %r"
+                             % (A.shape, (self.kl + self.ku + 1, n)))
         ipiv = self._ipiv_type()
-        if self.kl == self.ku == 1:
-            A = np.ascontiguousarray(A, dtype=float)
-            if A.shape != (3, n):
-                raise ValueError("band has shape %r, expected %r" % (A.shape, (3, n)))
-            du2 = self._du2_type()
-            # rows upper, main, lower: dl = A[2, :-1], d = A[1], du = A[0, 1:];
-            # (dl, d, du, du2, ipiv) is a run of both dgttrf's and dgttrs's arguments
-            a = ctypes.c_char.from_buffer(A)
-            lu = (ctypes.byref(a, 16 * n), ctypes.byref(a, 8 * n), ctypes.byref(a, 8),
-                  ctypes.byref(du2), ctypes.byref(ipiv))
-            self.lapack.dgttrf(self._n, *lu, self._info)
-            arrays, routine = (A, du2, ipiv), "dgttrf"
-            solve_args = (_TRANS, self._n, self._one, *lu, *self._rhs_args)
-        else:
-            ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
-            ab[self.kl:] = A
-            # the transpose of the Fortran-ordered ab is C-contiguous;
-            # (ab, ldab, ipiv) is a run of both dgbtrf's and dgbtrs's arguments
-            lu = (_ref(ab.T), self._ldab, ctypes.byref(ipiv))
-            self.lapack.dgbtrf(self._n, self._n, self._kl, self._ku, *lu, self._info)
-            arrays, routine = (ab, ipiv), "dgbtrf"
-            solve_args = (_TRANS, self._n, self._kl, self._ku, self._one, *lu,
-                          *self._rhs_args)
+        ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
+        ab[self.kl:] = A
+        # the transpose of the Fortran-ordered ab is C-contiguous;
+        # (ab, ldab, ipiv) is a run of both dgbtrf's and dgbtrs's arguments
+        lu = (_ref(ab.T), self._ldab, ctypes.byref(ipiv))
+        self.lapack.dgbtrf(self._n, self._n, self._kl, self._ku, *lu, self._info)
         info = self._ints[5]
         if info != 0:
-            raise SolverError("singular Newton matrix at t=%.4g (%s info %d)"
-                              % (self.t, routine, info))
-        return arrays, solve_args
+            raise SolverError("singular Newton matrix at t=%.4g (dgbtrf info %d)"
+                              % (self.t, info))
+        return (ab, ipiv), (_TRANS, self._n, self._kl, self._ku, self._one, *lu,
+                            *self._rhs_args)
 
     def _solve(self, lu, b):
         """The solution of the factored system for the right-hand side ``b``,
         in an array of the integrator's that the next solve overwrites."""
         x = self._rhs
         x[...] = b
-        self._trs(*lu[1])
+        self.lapack.dgbtrs(*lu[1])
         info = self._ints[5]
         if info != 0:
-            raise SolverError("Newton solve failed at t=%.4g (%s info %d)"
-                              % (self.t, "dgttrs" if self.kl == self.ku == 1 else "dgbtrs",
-                                 info))
+            raise SolverError("Newton solve failed at t=%.4g (dgbtrs info %d)"
+                              % (self.t, info))
         return x
 
     def _newton(self, t_new, y_predict, c, psi, LU, scale):
@@ -507,6 +495,7 @@ class _BandBDF:
 class IvpResult:
     t: np.ndarray             # the times of t_eval reached
     y: np.ndarray             # the states at those times, one column each
+    t_last: float             # the integrator's last accepted time
     nfev: int
     njev: int
     nlu: int
@@ -554,19 +543,19 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, jac, band):
             reached = upto
     return IvpResult(t=np.hstack(ts) if ts else np.empty(0),
                      y=np.hstack(ys) if ys else np.empty((y0.size, 0)),
-                     nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
+                     t_last=solver.t, nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
                      status=status, message=message, success=status >= 0)
 
 
 def _integrate(scale, cfg: SolveConfig, rhs, jac, y0, band):
     """``solve_ivp`` from y0 at t = 0 to the snapshot times of ``cfg``; a
-    failed step raises ``SolverError`` naming the ``scale``."""
+    failed step raises ``SolverError`` naming the ``scale`` and the last
+    time the integrator reached."""
     sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, t_eval=list(cfg.snapshots),
                     rtol=cfg.rtol, atol=cfg.atol, jac=jac, band=band)
     if not sol.success:
-        reached = sol.t[-1] if len(sol.t) else 0.0
         raise SolverError("%s integration failed at t=%.4g: %s"
-                          % (scale, reached, sol.message))
+                          % (scale, sol.t_last, sol.message))
     return sol
 
 
@@ -666,70 +655,25 @@ def solve_microscale(cfg: SolveConfig, *, initial=None,
     return traj
 
 
-def _boundary_root(bc: RobinBC, t, c1, c2, dx, side, start):
-    """Solve the Robin relation for the end value, gradient one-sided.
-
-    Left:  Cx = (-3 C0 + 4 C1 - C2) / (2 dx);  right: mirrored sign.
-    The relation is quadratic in the end value, so the root is taken in
-    closed form; of the two branches the one nearer the previous accepted
-    value is kept, which tracks the branch continuously connected to the
-    linear condition (the transient can bring the branches close together,
-    where an iterative solve would grind on the near-double root).
-
-    Returns the end value and its derivatives in ``c1`` and ``c2``, from the
-    implicit derivative of the chosen root of the quadratic.
-    """
-    P, R = bc.coefficients_at(t)
-    Q = float(bc.Q)
-    sgn = -1.0 if side == "left" else 1.0
-    alpha = sgn * 3.0 / (2.0 * dx)          # d(Cx)/d(C0)
-    cx0 = sgn * (c2 - 4.0 * c1) / (2.0 * dx)  # Cx at C0 = 0
-    # in the gradient variable u:  alpha Q u^2 + (alpha P - 1) u + cx0 + alpha R = 0
-    A = alpha * Q
-    B = alpha * P - 1.0
-    Cc = cx0 + alpha * R
-    u_prev = cx0 + alpha * start
-    if A == 0.0:
-        if B == 0.0:
-            raise SolverError("degenerate %s boundary relation at t=%.4g" % (side, t))
-        u = -Cc / B
-        du = -1.0 / B
-    else:
-        disc = B * B - 4.0 * A * Cc
-        if disc < 0.0:
-            # trial states during implicit steps can cross the tangency of
-            # the two branches; the vertex minimises the relation's residual
-            # and keeps the right-hand side defined (accepted snapshots are
-            # still required to satisfy the relation, checked by the caller)
-            u = -B / (2.0 * A)
-            du = 0.0                          # the vertex does not move with cx0
-        else:
-            sq = disc ** 0.5
-            q = -0.5 * (B + (sq if B >= 0.0 else -sq))
-            if q != 0.0:
-                roots = (q / A, Cc / q)
-            else:
-                roots = ((-B + sq) / (2.0 * A), (-B - sq) / (2.0 * A))
-            u = min(roots, key=lambda r: abs(r - u_prev))
-            slope = 2.0 * A * u + B
-            # a double root has no finite slope: treat it as the vertex
-            du = -1.0 / slope if slope != 0.0 else 0.0
-    dc0 = (du - 1.0) / alpha                  # d(C0)/d(cx0)
-    dcx = sgn / (2.0 * dx)                    # d(cx0)/d(c2); d(cx0)/d(c1) = -4 dcx
-    return (u - cx0) / alpha, -4.0 * dcx * dc0, dcx * dc0
+def _end_gradient(c1, c2, c3, dx):
+    """The gradient at an end from the three interior values nearest it, by
+    the second-order one-sided stencil: the left end's gradient, and the
+    negative of the right end's."""
+    return (-5.0 * c1 + 8.0 * c2 - 3.0 * c3) / (2.0 * dx)
 
 
 def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
-    """Right-hand side, analytic Jacobian and end-value closure of the mean
-    model over the interior unknowns y = (C_1..C_{n-1}).
+    """Right-hand side, analytic Jacobian and end values of the mean model
+    over the interior unknowns y = (C_1..C_{n-1}), each a pure function of
+    (t, y).
 
-    Returns ``(rhs, jac, closures, prev)``.  ``closures(t, y)`` gives the two
-    end values and records them in ``prev``, the previous end values each
-    Robin root is chosen against; ``jac`` reads ``prev`` but never writes it.
-    The Jacobian is tridiagonal: the Robin end values depend on the first two
-    interior values at their end, which only adds to the end rows.  ``jac``
-    returns it as a (3, m) band: rows upper, main, lower (see the module
-    docstring).
+    Returns ``(rhs, jac, ends)``.  ``ends(t, y)`` gives each end value with
+    its derivative in that end's gradient: the data mean under Dirichlet,
+    else R + P Cx + Q Cx^2 with the one-sided gradient of ``_end_gradient``.
+    ``jac`` returns the (5, m) band of LAPACK order, kl = ku = 2 (see the
+    module docstring): tridiagonal but for the end rows, which see their
+    end value, and so the three interior values nearest it, through their
+    outer neighbour.
     """
     grid, data = cfg.grid, cfg.data
     n, dx = grid.n, grid.dx
@@ -738,23 +682,19 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     inv2dx = 1.0 / (2.0 * dx)
     invdx2 = 1.0 / (dx * dx)
     xs = grid.nodes()[1:n]
-    prev = {"left": 0.0, "right": 0.0}
+    stencil = np.array([-5.0, 8.0, -3.0]) * inv2dx   # d(left Cx)/d(C_1, C_2, C_3)
 
     def ends(t, y):
-        """Each end value with its derivatives in the two interior values
-        nearest that end."""
         if not robin:
-            return ((0.5 * (data.a0(t) + data.b0(t)), 0.0, 0.0),
-                    (0.5 * (data.aL(t) + data.bL(t)), 0.0, 0.0))
-        return (_boundary_root(bc_left, t, y[0], y[1], dx, "left", prev["left"]),
-                _boundary_root(bc_right, t, y[m - 1], y[m - 2], dx, "right",
-                               prev["right"]))
-
-    def closures(t, y):
-        (c0, _, _), (cn, _, _) = ends(t, y)
-        if robin:
-            prev["left"], prev["right"] = c0, cn
-        return c0, cn
+            return ((0.5 * (data.a0(t) + data.b0(t)), 0.0),
+                    (0.5 * (data.aL(t) + data.bL(t)), 0.0))
+        out = []
+        for bc, cx in ((bc_left, _end_gradient(y[0], y[1], y[2], dx)),
+                       (bc_right, -_end_gradient(y[-1], y[-2], y[-3], dx))):
+            P, R = bc.coefficients_at(t)
+            Q = float(bc.Q)
+            out.append((R + P * cx + Q * cx * cx, P + 2.0 * Q * cx))
+        return out
 
     def nodal(y, c0, cn):
         """The nodal field C, its interior and the central gradient there."""
@@ -764,7 +704,8 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
         return C, C[1:n], (C[2:] - C[:-2]) * inv2dx
 
     def rhs(t, y):
-        C, Ci, Cx = nodal(y, *closures(t, y))
+        (c0, _), (cn, _) = ends(t, y)
+        C, Ci, Cx = nodal(y, c0, cn)
         Cxx = (C[2:] - 2.0 * Ci + C[:-2]) * invdx2
         dC = 0.5 * Ci ** 3 - 2.0 * Ci * Cx + 4.0 * Cxx
         if source is not None:
@@ -772,34 +713,32 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
         return dC
 
     def jac(t, y):
-        (c0, dl1, dl2), (cn, dr1, dr2) = ends(t, y)
+        (c0, dl), (cn, dr) = ends(t, y)
         _, Ci, Cx = nodal(y, c0, cn)
-        J = np.zeros((3, m))
-        up, diag, lo = J[0, 1:], J[1], J[2, :-1]
+        J = np.zeros((5, m))
+        up, diag, lo = J[1, 1:], J[2], J[3, :-1]
         diag[:] = 1.5 * Ci * Ci - 2.0 * Cx - 8.0 * invdx2
         up[:] = 4.0 * invdx2 - Ci[:-1] / dx    # d(dC_i)/d(C_{i+1})
         lo[:] = 4.0 * invdx2 + Ci[1:] / dx     # d(dC_i)/d(C_{i-1})
         # the end rows see the end values through their outer neighbours
-        k0 = 4.0 * invdx2 + Ci[0] / dx
-        kn = 4.0 * invdx2 - Ci[-1] / dx
-        diag[0] += k0 * dl1
-        up[0] += k0 * dl2
-        diag[-1] += kn * dr1
-        lo[-1] += kn * dr2
+        J[[2, 1, 0], [0, 1, 2]] += (4.0 * invdx2 + Ci[0] / dx) * dl * stencil
+        J[[2, 3, 4], [m - 1, m - 2, m - 3]] -= (4.0 * invdx2 - Ci[-1] / dx) * dr * stencil
         return J
 
-    return rhs, jac, closures, prev
+    return rhs, jac, ends
 
 
 def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
                      initial=None, source=None):
     """Integrate the mean-field model with the configured boundary closure.
 
-    ``bc_left``/``bc_right`` are RobinBC objects for the robin modes and
-    ignored in dirichlet mode, where the end values are the data means;
-    ``robin-linearised`` imposes and checks their ``linearized()`` forms.
-    ``source`` is an optional manufactured forcing f(x, t) used by the
-    verification tests.
+    ``bc_left``/``bc_right`` are the derived RobinBC pair, in the
+    derivation's variables, for the robin modes and ignored in dirichlet
+    mode, where the end values are the data means; ``robin-linearised``
+    takes their ``linearized()`` forms.  The pair is imposed in solver units,
+    ``rescaled(FIELD_SCALE)``, and every snapshot must satisfy that imposed
+    relation, with the closure's one-sided gradient, to 1e-9.  ``source`` is
+    an optional manufactured forcing f(x, t) used by the verification tests.
     """
     grid = cfg.grid
     n, dx = grid.n, grid.dx
@@ -808,27 +747,30 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
         raise ValueError("robin modes need both boundary conditions")
     if cfg.bc_mode == "robin-linearised":
         bc_left, bc_right = bc_left.linearized(), bc_right.linearized()
-    rhs, jac, closures, _ = _macro_system(cfg, bc_left, bc_right, source)
+    if robin:
+        bc_left, bc_right = bc_left.rescaled(FIELD_SCALE), bc_right.rescaled(FIELD_SCALE)
+    rhs, jac, ends = _macro_system(cfg, bc_left, bc_right, source)
 
     y0 = np.zeros(n - 1) if initial is None else _nodal(initial, n)[1:n]
-    sol = _integrate("macroscale", cfg, rhs, jac, y0, (1, 1))
+    sol = _integrate("macroscale", cfg, rhs, jac, y0, (2, 2))
 
     traj = FieldTrajectory(kind="macro", grid=grid)
     for k, t in enumerate(sol.t):
+        t = float(t)
         y = sol.y[:, k]
         C = np.empty(n + 1)
         C[1:n] = y
-        C[0], C[n] = closures(float(t), y)
+        (C[0], _), (C[n], _) = ends(t, y)
         if robin:
-            cxl = (-3.0 * C[0] + 4.0 * C[1] - C[2]) / (2.0 * dx)
-            cxr = (3.0 * C[n] - 4.0 * C[n - 1] + C[n - 2]) / (2.0 * dx)
-            for bc, cv, cx in ((bc_left, C[0], cxl), (bc_right, C[n], cxr)):
-                res = abs(bc.residual(cv, cx, float(t)))
+            for bc, cv, cx in ((bc_left, C[0], _end_gradient(C[1], C[2], C[3], dx)),
+                               (bc_right, C[n],
+                                -_end_gradient(C[n - 1], C[n - 2], C[n - 3], dx))):
+                res = abs(bc.residual(cv, cx, t))
                 if res > 1e-9:
                     raise SolverError(
                         "boundary relation unsatisfied at t=%.4g on the %s end "
                         "(residual %.3e)" % (t, bc.side, res))
-        traj.states.append(MacroState(C=C, t=float(t)))
+        traj.states.append(MacroState(C=C, t=t))
     return traj
 
 

@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdicts.
 Numeric bounds are pinned here; the figure-comparison ratio bound carries
 both the specified 0.5 factor and the tighter regression bound frozen from
 the first oracle run of this implementation (observed 0.0790 at the final
-snapshot, tightened to 1.25x observed = 0.099).
+snapshot, tightened to 1.25x observed = 0.099).  With the explicit Robin
+closure and the derived pair imposed in solver units the ratio reads
+0.0726; the bound is unchanged.
 """
 
 import os
@@ -21,7 +23,7 @@ from test_normalform import (EVOLUTION_REFERENCE, TRANSFORM_REFERENCE,
                              against_printed, coef)
 import test_solvers
 
-FROZEN_RATIO_BOUND = 0.099  # 1.25 x the first observed ratio 0.0790
+FROZEN_RATIO_BOUND = 0.099  # 1.25 x the first observed ratio 0.0790; observed 0.0726 now
 
 
 def _ok(n, text):

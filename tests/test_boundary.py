@@ -191,6 +191,27 @@ def test_residual_matches_direct_formula(derivation):
         assert bc.residual(C, Cx, t) == pytest.approx(direct, abs=1e-15)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_rescaled_pair_is_the_condition_on_scaled_fields(derivation, side):
+    # C - P(a, b) Cx - Q Cx^2 - R(a, b) times k is the rescaled condition at
+    # (k C, k Cx, k a, k b), exactly; the linear coefficients do not move
+    bc = derivation["bc_" + side]
+    rng = random.Random(11)
+
+    def exact_residual(bc, C, Cx, pt):
+        return C - bc.P.evaluate(pt) * Cx - bc.Q * Cx * Cx - bc.R.evaluate(pt)
+
+    for k in (3, F(1, 2)):
+        scaled = bc.rescaled(k)
+        assert scaled.Q == bc.Q / k and scaled.side == bc.side and scaled.data == bc.data
+        for _ in range(20):
+            C, Cx, a, b = (F(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(4))
+            assert exact_residual(scaled, k * C, k * Cx, (k * a, k * b)) \
+                == k * exact_residual(bc, C, Cx, (a, b))
+    lin, scaled_lin = bc.linearized(), bc.linearized().rescaled(3)
+    assert scaled_lin.P.terms == lin.P.terms and scaled_lin.R.terms == lin.R.terms
+
+
 def _closure_points(ramp_slot):
     """Data points for the closure: zero, the reference ramp 0.2 tanh^2(t) on
     one stream, and random pairs over several magnitudes."""

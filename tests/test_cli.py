@@ -306,6 +306,20 @@ def test_derive_fails_when_the_resummation_tail_exceeds_the_tolerance(tmp_path, 
     assert float(tail) > 1e-12
 
 
+def test_compare_names_the_resummation_tail(tmp_path, monkeypatch, capsys, small_scenario):
+    # at order 3 the discrepancy reads 7.1e-14 and the tail 9.0e-14: a
+    # tolerance between them fails the check on the tail alone, and compare
+    # must say so in its report and its exit message, as derive does
+    monkeypatch.setenv("MSBC_SEED_TOLERANCE", "8e-14")
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--scenario", small_scenario, "--out", str(out)]) == 2
+    figures = r"discrepancy 7\.105e-14, resummation tail estimate 9\.037e-14"
+    assert re.search(r"embedding cross-check FAIL \(%s\)" % figures,
+                     read(out / "small_comparison.txt"))
+    assert re.search(r"numerical failure: embedding cross-validation failed: %s" % figures,
+                     capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ("derive", "compare"))
 @pytest.mark.parametrize("value", ("inf", "nan", "-1"))
 def test_seed_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, capsys,
