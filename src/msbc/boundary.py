@@ -9,9 +9,9 @@ the exchanger (swap the two streams with a sign flip and reverse space).
 
 All series here carry exact rational coefficients; boundary data enter only
 when a condition is evaluated numerically, so one derivation serves every
-scenario, with time-dependent data handled quasi-statically.  The
-derivation's variables are the solver fields divided by 3
-(``solvers.FIELD_SCALE``); ``RobinBC.rescaled`` carries a condition across.
+scenario, with time-dependent data handled quasi-statically.  A condition
+is in the derivation's variables; ``RobinBC.rescaled`` carries it into the
+solvers' units (``msbc.system.FIELD_SCALE``).
 """
 
 from __future__ import annotations

@@ -243,7 +243,8 @@ def derivation_report(deriv: Derivation, report, cross):
     for lam, vec in es_orig.generalized:
         push("generalised direction at eigenvalue %s: (%s)"
              % (lam, ", ".join(str(v) for v in vec)))
-    push("note: the stable/unstable spatial rates are +-2/3 by direct")
+    push("note: the stable/unstable spatial rates are +-%s by direct"
+         % es_orig.eigenvalues[-1])
     push("computation of the characteristic polynomial; any larger quoted")
     push("rate for this linearisation does not match this matrix.")
     push("")

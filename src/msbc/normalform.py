@@ -549,8 +549,8 @@ def construct_at_unity(system: SpatialSystem, order=3):
     cmap = coordinate_map()
     A = system.linear
     eig = linalg.eigen(A)
-    mu = Fraction(2, 3)
-    if eig.eigenvalues != [-mu, 0, 0, mu]:
+    mu = eig.eigenvalues[-1]
+    if not (isinstance(mu, Fraction) and mu > 0 and eig.eigenvalues == [-mu, 0, 0, mu]):
         raise ConstructionRefused("collapsed spectrum outside the handled family")
     by_val = dict(zip((lam for lam, _ in eig.values), eig.vectors))
 

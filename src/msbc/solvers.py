@@ -1,11 +1,10 @@
-"""Method-of-lines solvers for the microscale pair and the macroscale mean.
+"""Method-of-lines solvers for the microscale pair and the macroscale mean,
+the two models that ``msbc.system`` describes, in its solver units.
 
-The microscale system evolves the two stream temperatures with exchange,
-quadratic reaction, counter-advection and lateral diffusion, under Dirichlet
-values at both ends.  The macroscale model evolves the mean temperature with
-an effective cubic reaction, nonlinear advection and enhanced diffusion;
-its boundary closure is chosen by ``SolveConfig.bc_mode``: heuristic
-Dirichlet values, the derived nonlinear Robin condition, or its linearisation.
+The microscale pair has Dirichlet values at both ends.  The macroscale
+boundary closure is chosen by ``SolveConfig.bc_mode``: heuristic Dirichlet
+values, the derived nonlinear Robin condition (imposed in solver units, see
+``msbc.system.FIELD_SCALE``), or its linearisation.
 
 Spatial derivatives are second-order central differences; time integration
 uses a variable-order implicit (BDF) scheme with the analytic banded
@@ -16,11 +15,6 @@ one-sided stencil (Fornberg, Math. Comp. 51, 1988), Cx(0) = (-5 C1 + 8 C2
 - 3 C3) / (2 dx), mirrored at the right end, so the relation gives the end
 value explicitly: C0 = R + P Cx + Q Cx^2.  Right-hand side and Jacobian are
 pure functions of (t, y).
-
-The derivation's variables are the solver fields divided by ``FIELD_SCALE``
-(see its comment), so ``solve_macroscale`` imposes the derived pair
-C - P(a0, b0) Cx - Q Cx^2 = R(a0, b0) as
-C - P(a0/3, b0/3) Cx - (Q/3) Cx^2 = 3 R(a0/3, b0/3) (``RobinBC.rescaled``).
 
 Both solves run on ``solve_ivp``, a variable-order NDF/BDF integrator
 (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997; Byrne & Hindmarsh,
@@ -58,14 +52,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import system
 from .boundary import BoundaryData, SolverError  # noqa: F401
+from .system import FIELD_SCALE
 
 DEFAULT_WINDOW = (5.0, 25.0)
-# The solver fields are FIELD_SCALE times the derivation's variables: the
-# steady microscale row, ``_micro_system``'s a-row divided by its diffusion
-# 3, is a_xx = a_x/3 + (a - b)/6 - a^2/6, which is ``system.build_original``'s
-# row a'' = a'/3 + (a - b)/6 - a^2/2 under a = 3 a~.
-FIELD_SCALE = 3
+_END_STENCIL = (-5.0, 8.0, -3.0)   # 2 dx times the left end gradient, on C_1, C_2, C_3
 
 _NUMPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
 _OPENBLAS_PREFIX = "libscipy_openblas64_"
@@ -577,9 +569,10 @@ def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
     invdx2 = 1.0 / (dx * dx)
 
     # a advects forward and b backward; row 2 + i - j holds entry (i, j)
-    adv = inv2dx if advection else 0.0
-    dif = 3.0 * invdx2 if diffusion else 0.0
-    ex = 0.5 if exchange else 0.0
+    adv = system.ADVECTION * inv2dx if advection else 0.0
+    dif = system.DIFFUSION * invdx2 if diffusion else 0.0
+    ex = float(system.EXCHANGE) if exchange else 0.0
+    k = float(system.REACTION)
     band = np.zeros((5, 2 * m))
     band[0, 2::2] = dif - adv           # d(da_i)/d(a_{i+1})
     band[0, 3::2] = dif + adv           # d(db_i)/d(b_{i+1})
@@ -602,13 +595,13 @@ def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
         dy[-2] += (dif - adv) * data.aL(t)
         dy[-1] += (dif + adv) * data.bL(t)
         if reaction:
-            dy += 0.5 * sign * y * y
+            dy += k * sign * y * y
         return dy
 
     def jac(t, y):
         J = band.copy()
         if reaction:
-            J[2] += sign * y
+            J[2] += 2.0 * k * sign * y
         return J
 
     return rhs, jac
@@ -659,7 +652,8 @@ def _end_gradient(c1, c2, c3, dx):
     """The gradient at an end from the three interior values nearest it, by
     the second-order one-sided stencil: the left end's gradient, and the
     negative of the right end's."""
-    return (-5.0 * c1 + 8.0 * c2 - 3.0 * c3) / (2.0 * dx)
+    l1, l2, l3 = _END_STENCIL
+    return (l1 * c1 + l2 * c2 + l3 * c3) / (2.0 * dx)
 
 
 def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
@@ -682,7 +676,11 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     inv2dx = 1.0 / (2.0 * dx)
     invdx2 = 1.0 / (dx * dx)
     xs = grid.nodes()[1:n]
-    stencil = np.array([-5.0, 8.0, -3.0]) * inv2dx   # d(left Cx)/d(C_1, C_2, C_3)
+    stencil = np.array(_END_STENCIL) * inv2dx   # d(left Cx)/d(C_1, C_2, C_3)
+    # C_t = D_eff (Cxx - G2) = cubic C^3 + transport C Cx + D_eff Cxx
+    d_eff = float(system.EFFECTIVE_DIFFUSION)
+    g2 = system.solver_units(system.SLOW_FLOW)
+    cubic, transport = -d_eff * g2[3, 0], -d_eff * g2[1, 1]
 
     def ends(t, y):
         if not robin:
@@ -707,7 +705,7 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
         (c0, _), (cn, _) = ends(t, y)
         C, Ci, Cx = nodal(y, c0, cn)
         Cxx = (C[2:] - 2.0 * Ci + C[:-2]) * invdx2
-        dC = 0.5 * Ci ** 3 - 2.0 * Ci * Cx + 4.0 * Cxx
+        dC = cubic * Ci ** 3 + transport * Ci * Cx + d_eff * Cxx
         if source is not None:
             dC = dC + source(xs, t)
         return dC
@@ -717,12 +715,14 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
         _, Ci, Cx = nodal(y, c0, cn)
         J = np.zeros((5, m))
         up, diag, lo = J[1, 1:], J[2], J[3, :-1]
-        diag[:] = 1.5 * Ci * Ci - 2.0 * Cx - 8.0 * invdx2
-        up[:] = 4.0 * invdx2 - Ci[:-1] / dx    # d(dC_i)/d(C_{i+1})
-        lo[:] = 4.0 * invdx2 + Ci[1:] / dx     # d(dC_i)/d(C_{i-1})
+        # the transport term's central gradient is (C_{i+1} - C_{i-1}) / (2 dx)
+        half = transport / 2.0
+        diag[:] = 3.0 * cubic * Ci * Ci + transport * Cx - 2.0 * d_eff * invdx2
+        up[:] = d_eff * invdx2 + half * Ci[:-1] / dx    # d(dC_i)/d(C_{i+1})
+        lo[:] = d_eff * invdx2 - half * Ci[1:] / dx     # d(dC_i)/d(C_{i-1})
         # the end rows see the end values through their outer neighbours
-        J[[2, 1, 0], [0, 1, 2]] += (4.0 * invdx2 + Ci[0] / dx) * dl * stencil
-        J[[2, 3, 4], [m - 1, m - 2, m - 3]] -= (4.0 * invdx2 - Ci[-1] / dx) * dr * stencil
+        J[[2, 1, 0], [0, 1, 2]] += (d_eff * invdx2 - half * Ci[0] / dx) * dl * stencil
+        J[[2, 3, 4], [m - 1, m - 2, m - 3]] -= (d_eff * invdx2 + half * Ci[-1] / dx) * dr * stencil
         return J
 
     return rhs, jac, ends
@@ -735,8 +735,8 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
     ``bc_left``/``bc_right`` are the derived RobinBC pair, in the
     derivation's variables, for the robin modes and ignored in dirichlet
     mode, where the end values are the data means; ``robin-linearised``
-    takes their ``linearized()`` forms.  The pair is imposed in solver units,
-    ``rescaled(FIELD_SCALE)``, and every snapshot must satisfy that imposed
+    takes their ``linearized()`` forms.  The pair is imposed in solver units
+    (``msbc.system.FIELD_SCALE``), and every snapshot must satisfy that imposed
     relation, with the closure's one-sided gradient, to 1e-9.  ``source`` is
     an optional manufactured forcing f(x, t) used by the verification tests.
     """
@@ -776,14 +776,16 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
 
 def reconstruct_micro(state: MacroState, grid: Grid1D):
     """Predicted stream temperatures from the mean field: the mean plus and
-    minus the shear correction (half the squared mean minus the gradient)."""
+    minus the shear, the derived slow manifold ``system.SHEAR`` in solver
+    units."""
     C = state.C
     dx = grid.dx
     Cx = np.empty_like(C)
     Cx[1:-1] = (C[2:] - C[:-2]) / (2.0 * dx)
     Cx[0] = (-3.0 * C[0] + 4.0 * C[1] - C[2]) / (2.0 * dx)
     Cx[-1] = (3.0 * C[-1] - 4.0 * C[-2] + C[-3]) / (2.0 * dx)
-    shear = 0.5 * C * C - Cx
+    h = system.solver_units(system.SHEAR)
+    shear = h[2, 0] * C * C + h[0, 1] * Cx
     return MicroState(a=C + shear, b=C - shear, t=state.t)
 
 

@@ -1,4 +1,5 @@
-"""First-order spatial form of the steady heat-exchanger equations.
+"""The two-stream model, described once, and the first-order spatial form
+of its steady equations.
 
 With the time derivative treated as negligible, the two-field steady problem
 becomes a four-state system in the position variable: state (a, b, a', b').
@@ -17,15 +18,36 @@ from fractions import Fraction
 from .linalg import Matrix
 from .series import SeriesVector, Space, TruncatedSeries
 
+# The microscale model in solver units, D, V, X and K of
+#   a_t = D a_xx - V a_x + X (b - a) + K a^2   (b mirrored: + V b_x, - K b^2).
+DIFFUSION, ADVECTION, EXCHANGE, REACTION = 3, 1, Fraction(1, 2), Fraction(1, 2)
+# The derivation's variables are the solver fields over FIELD_SCALE, which
+# makes the quadratic coefficient of the steady rows over D, K FIELD_SCALE/D,
+# 1/2.  ``solver_units`` and ``RobinBC.rescaled`` carry results across.
+FIELD_SCALE = 3
+# The macroscale model in solver units, C_t = D_eff (C_xx - G2(C, C_x)).  The
+# effective diffusivity D_eff comes from the time-dependent problem, which
+# the steady derivation does not see.
+EFFECTIVE_DIFFUSION = 4
+# G2 = ds2/dx and the shear a - s1 at s3 = s4 = 0 as ``construct_at_unity``
+# derives them, {(i, j): c} for c s1^i s2^j in the derivation's variables,
+# truncated at weighted degree 3 and 2 (s2 counting 2).
+SLOW_FLOW = {(1, 1): Fraction(3, 2), (3, 0): Fraction(-9, 8)}
+SHEAR = {(0, 1): Fraction(-1), (2, 0): Fraction(3, 2)}
+
+
+def solver_units(poly):
+    """A field given as ``{(i, j): c}`` in the derivation's (s1, s2), as
+    float coefficients of C^i C_x^j in solver units (C = FIELD_SCALE s1)."""
+    return {(i, j): float(c * Fraction(FIELD_SCALE) ** (1 - i - j))
+            for (i, j), c in poly.items()}
+
+
 STATE_VARS = ("a", "b", "ap", "bp", "eps")
 
 
 def state_space(order=2, grading_order=1):
     return Space(STATE_VARS, order, grading="eps", grading_order=grading_order)
-
-
-def _poly(space, terms):
-    return TruncatedSeries(space, terms)
 
 
 @dataclass(frozen=True)
@@ -39,16 +61,8 @@ class SpatialSystem:
     def eps_linear_matrix(self):
         """Matrix of the perturbation terms linear in the state and in the
         embedding parameter."""
-        sp = self.nonlinear.space
-        rows = []
-        for comp in self.nonlinear:
-            row = []
-            for j in range(4):
-                e = [0, 0, 0, 0, 1]
-                e[j] = 1
-                row.append(comp.coefficient(tuple(e)))
-            rows.append(row)
-        return Matrix(rows)
+        units = [tuple(int(i == j) for i in range(4)) + (1,) for j in range(4)]
+        return Matrix([[comp.coefficient(e) for e in units] for comp in self.nonlinear])
 
     def state_quadratic(self):
         """The parameter-free part of the perturbation (the true
@@ -64,57 +78,40 @@ class SpatialSystem:
 
 
 def build_original():
-    """The unembedded spatial system."""
+    """The unembedded spatial system: the steady microscale rows divided by
+    the diffusion, in the derivation's variables (the solver fields over
+    ``FIELD_SCALE``)."""
     sp = state_space()
-    linear = Matrix([
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-        [Fraction(1, 6), Fraction(-1, 6), Fraction(1, 3), 0],
-        [Fraction(-1, 6), Fraction(1, 6), 0, Fraction(-1, 3)],
-    ])
+    x, v, k = (Fraction(c, DIFFUSION) for c in (EXCHANGE, ADVECTION, REACTION * FIELD_SCALE))
+    linear = Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [x, -x, v, 0], [-x, x, 0, -v]])
     zero = TruncatedSeries.zero(sp)
-    nonlinear = SeriesVector([
-        zero,
-        zero,
-        _poly(sp, {(2, 0, 0, 0, 0): Fraction(-1, 2)}),
-        _poly(sp, {(0, 2, 0, 0, 0): Fraction(1, 2)}),
-    ])
+    nonlinear = SeriesVector([zero, zero, TruncatedSeries(sp, {(2, 0, 0, 0, 0): -k}),
+                              TruncatedSeries(sp, {(0, 2, 0, 0, 0): k})])
     return SpatialSystem(linear, nonlinear, label="original")
 
 
-def build_embedding(variant):
-    """One-parameter embedding family with diagonalisable linear part.
+_WEIGHTS = {"A": Fraction(1, 2), "B": Fraction(1, 6)}
 
-    Variant "A" perturbs the cross-derivative couplings with weight 1/2 in
-    the derivative rows; variant "B" uses weight 1/6 and a different base
-    matrix.  Both reduce exactly to the original system at parameter 1.
+
+def build_embedding(variant):
+    """One-parameter embedding family with diagonalisable linear part: the
+    original system plus (eps - 1) E_w, where E_w has rows (0, 0, 0, 1),
+    (0, 0, 1, 0), (0, 0, w, -w) and (0, 0, w, -w), with w = 1/2 for variant
+    "A" and 1/6 for "B".  Both reduce exactly to the original at parameter 1.
     """
-    sp = state_space()
-    if variant == "A":
-        linear = Matrix([
-            [0, 0, 1, -1],
-            [0, 0, -1, 1],
-            [Fraction(1, 6), Fraction(-1, 6), Fraction(-1, 6), Fraction(1, 2)],
-            [Fraction(-1, 6), Fraction(1, 6), Fraction(-1, 2), Fraction(1, 6)],
-        ])
-        w = Fraction(1, 2)
-    elif variant == "B":
-        linear = Matrix([
-            [0, 0, 1, -1],
-            [0, 0, -1, 1],
-            [Fraction(1, 6), Fraction(-1, 6), Fraction(1, 6), Fraction(1, 6)],
-            [Fraction(-1, 6), Fraction(1, 6), Fraction(-1, 6), Fraction(-1, 6)],
-        ])
-        w = Fraction(1, 6)
-    else:
+    if variant not in _WEIGHTS:
         raise ValueError("variant must be 'A' or 'B'")
+    w = _WEIGHTS[variant]
+    coupling = Matrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, w, -w], [0, 0, w, -w]])
+    original = build_original()
+    # each row's state terms come first, then eps a' and eps b': embedding
+    # B's float sums follow this order
     nonlinear = SeriesVector([
-        _poly(sp, {(0, 0, 0, 1, 1): 1}),
-        _poly(sp, {(0, 0, 1, 0, 1): 1}),
-        _poly(sp, {(2, 0, 0, 0, 0): Fraction(-1, 2), (0, 0, 1, 0, 1): w, (0, 0, 0, 1, 1): -w}),
-        _poly(sp, {(0, 2, 0, 0, 0): Fraction(1, 2), (0, 0, 1, 0, 1): w, (0, 0, 0, 1, 1): -w}),
-    ])
-    return SpatialSystem(linear, nonlinear, label="embedding-%s" % variant)
+        TruncatedSeries(original.nonlinear.space,
+                        {**comp.terms, (0, 0, 1, 0, 1): row[2], (0, 0, 0, 1, 1): row[3]})
+        for comp, row in zip(original.nonlinear, coupling.rows)])
+    return SpatialSystem(original.linear - coupling, nonlinear,
+                         label="embedding-%s" % variant)
 
 
 def coordinate_map():

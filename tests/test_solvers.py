@@ -326,6 +326,52 @@ def test_micro_rhs_is_the_derived_model_in_solver_units():
             assert got[k - 1] == pytest.approx(uxx - S * float(u_xx), abs=1e-13)
 
 
+def _slow_part(series, weight):
+    """``series`` over (s1..s4) at s3 = s4 = 0 as {(i, j): c} for c s1^i s2^j,
+    truncated at weighted degree ``weight`` with s2 counting 2."""
+    return {(e[0], e[1]): c for e, c in series.terms.items()
+            if e[2] == e[3] == 0 and e[0] + 2 * e[1] <= weight}
+
+
+def _in_solver_units(poly, C, Cx):
+    """The field ``poly`` of the derivation's (s1, s2) at the solver fields
+    (C, Cx), which are FIELD_SCALE times those variables."""
+    S = solvers.FIELD_SCALE
+    return S * sum(float(c) * (C / S) ** i * (Cx / S) ** j for (i, j), c in poly.items())
+
+
+def _quadratic_profile():
+    grid = Grid1D(L=2.0, n=16)
+    x = grid.nodes()
+    return grid, 0.3 + 0.2 * x - 0.15 * x * x, 0.2 - 0.3 * x, -0.3
+
+
+def test_macro_rhs_is_the_derived_slow_flow_in_solver_units(at_unity):
+    # C_t = D_eff (Cxx - G2(C, Cx)) with G2 the derived ds2/dx truncated at
+    # weighted degree 3; on a quadratic profile the central differences are
+    # exact, so any drift of G2 or of the scale shows
+    g2 = _slow_part(at_unity[1][1], 3)
+    assert g2 == {(1, 1): F(3, 2), (3, 0): F(-9, 8)}
+    grid, C, Cx, Cxx = _quadratic_profile()
+    mean = BoundaryData(a0=C[0], b0=C[0], aL=C[-1], bL=C[-1])
+    rhs, _, _ = solvers._macro_system(SolveConfig(grid=grid, t_end=1.0, data=mean),
+                                      None, None, None)
+    want = system.EFFECTIVE_DIFFUSION * (Cxx - _in_solver_units(g2, C, Cx))
+    assert np.allclose(rhs(0.0, C[1:-1]), want[1:-1], rtol=0.0, atol=1e-13)
+
+
+def test_reconstruction_is_the_derived_slow_manifold_in_solver_units(at_unity):
+    # the streams are the derived transform at s3 = s4 = 0, truncated at
+    # weighted degree 2: a = s1 - s2 + 3/2 s1^2 and b mirrored
+    a, b = (_slow_part(at_unity[0][k], 2) for k in (0, 1))
+    assert a == {(1, 0): 1, (0, 1): -1, (2, 0): F(3, 2)}
+    grid, C, Cx, _ = _quadratic_profile()
+    st = solvers.reconstruct_micro(MacroState(C=C, t=0.0), grid)
+    for got, want in ((st.a, a), (st.b, b)):
+        assert np.allclose(got[1:-1], _in_solver_units(want, C, Cx)[1:-1],
+                           rtol=0.0, atol=1e-14)
+
+
 def _macro(mode, bcs=(None, None), source=None):
     cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=reference_data(),
                       bc_mode=mode)

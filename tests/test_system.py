@@ -57,6 +57,12 @@ def test_embedding_reduces_exactly_at_parameter_one(variant):
         assert got[2:] == want[2:] and repr(got[2:]) == repr(want[2:])
 
 
+def test_unknown_embedding_variant_is_rejected():
+    for variant in ("C", "a", ""):
+        with pytest.raises(ValueError, match="variant must be 'A' or 'B'"):
+            system.build_embedding(variant)
+
+
 def test_embedding_a_eigenstructure():
     A = system.build_embedding("A").linear
     es = eigen(A)
