@@ -2,26 +2,28 @@
 
 Pipeline: restrict the transform to the centre-stable manifold (no growing
 mode), impose the microscale Dirichlet values at the boundary, revert the
-resulting series for the slow amplitudes, and read off a nonlinear Robin
-relation between the mean field and its gradient.  The left boundary is
-derived directly; the right boundary follows from the reflection symmetry of
-the exchanger (swap the two streams with a sign flip and reverse space).
+resulting series for the slow amplitudes, and read off the nonlinear Robin
+relation C = S(Cx, a0, b0): the mean field as one polynomial in its
+gradient and the Dirichlet data, truncated at total degree 2.  The left
+boundary is derived directly; the right boundary follows from the
+reflection symmetry of the exchanger (swap the two streams with a sign flip
+and reverse space), which gives -S(Cx, -bL, -aL).
 
 All series here carry exact rational coefficients; boundary data enter only
 when a condition is evaluated numerically, so one derivation serves every
-scenario, with time-dependent data handled quasi-statically.  A condition
+scenario, with time-dependent data handled quasi-statically.  A relation
 is in the derivation's variables; ``RobinBC.rescaled`` carries it into the
-solvers' units (``msbc.system.FIELD_SCALE``).
+solvers' units by the one rule ``msbc.system.solver_units``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import (ReversionError, SeriesVector, Space, TruncatedSeries,
                      solve_implicit_system)
+from .system import solver_units
 
 BOUNDARY_VARS = ("s1_0", "s2_0", "s3_0")
 REVERT_VARS = ("s1_0", "s3_0", "s2_0", "a0", "b0")
@@ -101,17 +103,11 @@ def revert_boundary(constraint):
     return RevertedBoundary(s1_series=sol[0], s3_series=sol[1])
 
 
-def _float_terms(poly):
-    """Terms ``(float(c), i, j)`` of a polynomial in the two data values, in
-    its stored term order."""
-    return tuple((float(c), i, j) for (i, j), c in poly.terms.items())
-
-
 def _evaluate_float(terms, u, v):
-    """Sum of ``c·u**i·v**j`` in term order: at float data the same float as
-    ``float(poly.evaluate((u, v)))``, since a Fraction coefficient times a
-    float already rounds to ``float(c)`` times it (a Horner form would
-    round differently)."""
+    """Sum of ``c·u**i·v**j`` over compiled terms ``(float(c), i, j)`` in
+    term order: at float data the same float as the exact polynomial's
+    ``evaluate``, since a Fraction coefficient times a float already rounds
+    to ``float(c)`` times it (a Horner form would round differently)."""
     total = 0.0
     for c, i, j in terms:
         total += c * u ** i * v ** j
@@ -120,111 +116,110 @@ def _evaluate_float(terms, u, v):
 
 @dataclass(frozen=True)
 class RobinBC:
-    """Coefficients of C - P·Cx - Q·Cx^2 = R at one boundary.
+    """The Robin condition C = S(Cx, u, v) at one boundary.
 
-    P and R are polynomials in the local Dirichlet data; Q is a constant.
-    ``data`` supplies the (possibly time-dependent) values the polynomials
-    are evaluated at when the condition is used numerically.
+    ``relation`` is S, exact over ("Cx", u, v) with (u, v) this side's
+    Dirichlet data, (a0, b0) or (aL, bL), truncated at total degree 2.  By
+    the power of Cx it reads C - P·Cx - Q·Cx^2 = R with R quadratic in the
+    data, P linear and Q constant; ``R``, ``P`` and ``Q`` are read-only views
+    of those coefficients.  ``data`` supplies the (possibly time-dependent)
+    values the relation is evaluated at when the condition is used
+    numerically.
     """
 
-    P: TruncatedSeries
-    Q: Fraction
-    R: TruncatedSeries
+    relation: TruncatedSeries
     side: str
     data: tuple = None  # pair of callables for this side's Dirichlet values
 
     def __post_init__(self):
-        # the solvers evaluate P and R at every right-hand side: compile once
-        object.__setattr__(self, "_P_float", _float_terms(self.P))
-        object.__setattr__(self, "_R_float", _float_terms(self.R))
+        # the solvers evaluate the closure at every right-hand side: compile
+        # the float terms of R, P and Q once, in stored term order
+        closure = ([], [], [])
+        for (q, i, j), c in self.relation.terms.items():
+            closure[q].append((float(c), i, j))
+        object.__setattr__(self, "_closure", tuple(map(tuple, closure)))
 
-    def P_at(self, t):
-        return _evaluate_float(self._P_float, self.data[0](t), self.data[1](t))
+    def _data_part(self, q):
+        sp = self.relation.space
+        return TruncatedSeries(Space(sp.names[1:], sp.order),
+                               {e[1:]: c for e, c in self.relation.terms.items() if e[0] == q})
 
-    def R_at(self, t):
-        return _evaluate_float(self._R_float, self.data[0](t), self.data[1](t))
+    @property
+    def R(self):
+        return self._data_part(0)
+
+    @property
+    def P(self):
+        return self._data_part(1)
+
+    @property
+    def Q(self):
+        return self.relation.coefficient((2, 0, 0))
 
     def coefficients_at(self, t):
-        """(P(t), R(t)) from one read of the data pair: the same floats as
-        ``P_at`` and ``R_at``."""
+        """(R(t), P(t), Q(t)) from one read of the data pair, each the same
+        float as its exact view evaluated there."""
         u, v = self.data[0](t), self.data[1](t)
-        return _evaluate_float(self._P_float, u, v), _evaluate_float(self._R_float, u, v)
+        R, P, Q = self._closure
+        return _evaluate_float(R, u, v), _evaluate_float(P, u, v), _evaluate_float(Q, u, v)
+
+    def P_at(self, t):
+        return self.coefficients_at(t)[1]
+
+    def R_at(self, t):
+        return self.coefficients_at(t)[0]
 
     def residual(self, C, Cx, t):
-        """C - P(t)·Cx - Q·Cx^2 - R(t); zero when the condition holds."""
-        return C - self.P_at(t) * Cx - float(self.Q) * Cx * Cx - self.R_at(t)
+        """C - S(Cx, u(t), v(t)), evaluated from the exact relation rather
+        than the compiled closure; zero when the condition holds."""
+        return C - self.relation.evaluate((Cx, self.data[0](t), self.data[1](t)))
 
     def rescaled(self, k):
-        """The condition on fields ``k`` times these variables, C - P(a/k,
-        b/k)·Cx - (Q/k)·Cx^2 = k·R(a/k, b/k): each coefficient of P and R of
-        total data degree d gains the factor k^-d and k^(1-d)."""
-        def scale(poly, power):
-            return TruncatedSeries(poly.space, {e: c * Fraction(k) ** (power - sum(e))
-                                                for e, c in poly.terms.items()})
-        return RobinBC(P=scale(self.P, 0), Q=self.Q / k, R=scale(self.R, 1),
-                       side=self.side, data=self.data)
+        """The condition on fields ``k`` times these variables, by the
+        hand-over rule ``system.solver_units``."""
+        return RobinBC(TruncatedSeries(self.relation.space, solver_units(self.relation.terms, k)),
+                       self.side, self.data)
 
     def linearized(self):
-        """Drop every quadratic term: the classic linear Robin condition."""
-        sp = self.P.space
-        zero = (0,) * len(sp.names)
-        P = TruncatedSeries(sp, {zero: self.P.coefficient(zero)})
-        R = TruncatedSeries(sp, {e: c for e, c in self.R.terms.items() if sum(e) <= 1})
-        return RobinBC(P=P, Q=Fraction(0), R=R, side=self.side, data=self.data)
+        """The relation truncated at total degree 1: the classic linear
+        Robin condition."""
+        return RobinBC(TruncatedSeries(Space(self.relation.space.names, 1), self.relation.terms),
+                       self.side, self.data)
 
     def serialize(self):
-        names = self.P.space.names
+        names = ",".join(self.relation.space.names[1:])
         return "%s P(%s)= %s Q= %s R(%s)= %s" % (
-            self.side, ",".join(names), self.P.pretty(),
-            self.Q, ",".join(names), self.R.pretty())
+            self.side, names, self.P.pretty(), self.Q, names, self.R.pretty())
 
 
-def _data_polynomials(reverted):
-    """Split the reverted slow amplitude by gradient power into the Robin
-    coefficients, truncated at the quadratic order the derivation is valid
-    to: R quadratic in the data, P linear, Q constant."""
-    sp2 = Space(DATA_VARS, 2)
-    i_s2 = reverted.s1_series.space.index("s2_0")
-    i_a0 = reverted.s1_series.space.index("a0")
-    i_b0 = reverted.s1_series.space.index("b0")
-    Rterms, Pterms = {}, {}
-    Q = Fraction(0)
-    for e, c in reverted.s1_series.terms.items():
-        if any(e[i] for i in range(len(e)) if i not in (i_s2, i_a0, i_b0)):
+def _left_relation(reverted):
+    """The reverted slow amplitude as the left relation C = S(Cx, a0, b0):
+    the mean field for the slow amplitude and its gradient for the slow
+    gradient, truncated at the total degree 2 the derivation is valid to."""
+    s1 = reverted.s1_series
+    keep = [s1.space.index(name) for name in ("s2_0",) + DATA_VARS]
+    terms = {}
+    for e, c in s1.terms.items():
+        if any(k for i, k in enumerate(e) if i not in keep):
             raise ReversionError("reverted series still contains an unknown")
-        da, db, q = e[i_a0], e[i_b0], e[i_s2]
-        if q == 0 and da + db <= 2:
-            Rterms[(da, db)] = c
-        elif q == 1 and da + db <= 1:
-            Pterms[(da, db)] = c
-        elif q == 2 and da + db == 0:
-            Q = c
-    return TruncatedSeries(sp2, Pterms), Q, TruncatedSeries(sp2, Rterms)
+        terms[tuple(e[i] for i in keep)] = c
+    return TruncatedSeries(Space(("Cx",) + DATA_VARS, 2), terms)
 
 
 def assemble_left_bc(reverted, data: BoundaryData):
-    """Robin condition at the left end: substitute the mean field for the
-    slow amplitude and its gradient for the slow gradient, moving the
-    gradient-dependent terms to the left side."""
-    P, Q, R = _data_polynomials(reverted)
-    return RobinBC(P=P, Q=Q, R=R, side="left", data=(data.a0, data.b0))
-
-
-def _reflect(poly, names=("aL", "bL")):
-    """p(a0, b0) -> p(-v2, -v1) over the renamed variable pair."""
-    out = {}
-    for (da, db), c in poly.terms.items():
-        out[(db, da)] = c * (-1) ** (da + db)
-    return TruncatedSeries(Space(names, poly.space.order), out)
+    """Robin condition at the left end."""
+    return RobinBC(_left_relation(reverted), "left", (data.a0, data.b0))
 
 
 def assemble_right_bc(reverted, data: BoundaryData):
-    """Robin condition at the right end, by the stream-swap reflection: build
-    the left condition for data (-bL, -aL), then map back through the sign
-    flips of the field and of the spatial direction."""
-    P, Q, R = _data_polynomials(reverted)
-    return RobinBC(P=-1 * _reflect(P), Q=-Q, R=-1 * _reflect(R),
-                   side="right", data=(data.aL, data.bL))
+    """Robin condition at the right end, by the stream-swap reflection: the
+    left relation S for data (-bL, -aL), mapped back through the sign flips
+    of the field and of the spatial direction, is -S(Cx, -bL, -aL), taken
+    term by term in stored order."""
+    left = _left_relation(reverted)
+    mirror = {(q, j, i): -c * (-1) ** (i + j) for (q, i, j), c in left.terms.items()}
+    return RobinBC(TruncatedSeries(Space(("Cx", "aL", "bL"), left.space.order), mirror),
+                   "right", (data.aL, data.bL))
 
 
 def derive_boundary_conditions(transform, data: BoundaryData):

@@ -363,9 +363,16 @@ def _aligned_eigenbasis(system: SpatialSystem, cmap):
         kernel = [[float(x) for x in v] for v in kernel]
 
     rows = cmap.rows if exact else [[float(x) for x in r] for r in cmap.rows]
-    # slow columns: combinations of the kernel with rows 1,2 of the map
-    a11, a12 = _dot(rows[0], kernel[0]), _dot(rows[0], kernel[1])
-    a21, a22 = _dot(rows[1], kernel[0]), _dot(rows[1], kernel[1])
+    cols = _slow_columns(kernel, rows) + [_fast_column(by_val[fast[0]][1], rows[2]),
+                                          _fast_column(by_val[fast[1]][1], rows[3])]
+    return cols, mu, exact
+
+
+def _slow_columns(span, rows):
+    """The two combinations of the vectors ``span`` dual to coordinate-map
+    rows 1 and 2: row i · column j is 1 for i = j and 0 otherwise."""
+    a11, a12 = _dot(rows[0], span[0]), _dot(rows[0], span[1])
+    a21, a22 = _dot(rows[1], span[0]), _dot(rows[1], span[1])
     det = a11 * a22 - a12 * a21
     if det == 0:
         raise ConstructionRefused("slow eigenvectors degenerate under the map")
@@ -373,10 +380,8 @@ def _aligned_eigenbasis(system: SpatialSystem, cmap):
     for rhs in ((1, 0), (0, 1)):
         g1 = (a22 * rhs[0] - a12 * rhs[1]) / det
         g2 = (-a21 * rhs[0] + a11 * rhs[1]) / det
-        cols.append([g1 * kernel[0][i] + g2 * kernel[1][i] for i in range(4)])
-    cols.append(_fast_column(by_val[fast[0]][1], rows[2]))
-    cols.append(_fast_column(by_val[fast[1]][1], rows[3]))
-    return cols, mu, exact
+        cols.append([g1 * span[0][i] + g2 * span[1][i] for i in range(4)])
+    return cols
 
 
 def _fast_column(basis, row):
@@ -557,30 +562,14 @@ def construct_at_unity(system: SpatialSystem, order=3):
     kernel = by_val[0]
     if len(kernel) != 1:
         raise ConstructionRefused("collapsed zero eigenspace must be a single line")
-    c1 = kernel[0]
-    s = _dot(cmap.rows[0], c1)
-    if s == 0:
-        raise ConstructionRefused("slow eigenvector orthogonal to the mean row")
-    c1 = [x / s for x in c1]
-    # the Jordan step solves A·w = kernel[0], so w/s solves A·c2 = c1
-    c2 = dict(eig.generalized).get(0)
-    if c2 is None:
+    step = dict(eig.generalized).get(0)
+    if step is None:
         raise ConstructionRefused("no generalised slow direction")
-    c2 = [x / s for x in c2]
-    # normalise the generalised column against map rows 1 and 2
-    #   c2 -> c2 + t*c1 with row1·c2 = 0, then scale pair so row2·c2 = 1
-    t = -_dot(cmap.rows[0], c2) / _dot(cmap.rows[0], c1)
-    c2 = [x + t * y for x, y in zip(c2, c1)]
-    s2 = _dot(cmap.rows[1], c2)
-    if s2 == 0:
-        raise ConstructionRefused("generalised direction orthogonal to the gradient row")
-    c2 = [x / s2 for x in c2]
-    c1 = [x * s2 for x in c1]  # keeps A·c2 = c1 with a unit nilpotent entry
-    s1 = _dot(cmap.rows[0], c1)
-    c1 = [x / s1 for x in c1]
-    c2 = [x / s1 for x in c2]
-    cols = [c1, c2, _fast_column(by_val[-mu], cmap.rows[2]),
-            _fast_column(by_val[mu], cmap.rows[3])]
+    # over the kernel and the Jordan step A·w = kernel[0], the pair dual to
+    # map rows 1 and 2 has A·c2 = h·c1 (h = 1 in this family); the check
+    # below asks for that Jordan-aligned form
+    cols = _slow_columns([kernel[0], step], cmap.rows) + [
+        _fast_column(by_val[-mu], cmap.rows[2]), _fast_column(by_val[mu], cmap.rows[3])]
     t1 = [[cols[j][i] for j in range(4)] for i in range(4)]
     t1m = linalg.Matrix(t1)
     t1inv_m = t1m.inverse()

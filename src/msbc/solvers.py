@@ -679,8 +679,8 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     stencil = np.array(_END_STENCIL) * inv2dx   # d(left Cx)/d(C_1, C_2, C_3)
     # C_t = D_eff (Cxx - G2) = cubic C^3 + transport C Cx + D_eff Cxx
     d_eff = float(system.EFFECTIVE_DIFFUSION)
-    g2 = system.solver_units(system.SLOW_FLOW)
-    cubic, transport = -d_eff * g2[3, 0], -d_eff * g2[1, 1]
+    g2 = system.solver_units(system.SLOW_FLOW, FIELD_SCALE)
+    cubic, transport = -d_eff * float(g2[3, 0]), -d_eff * float(g2[1, 1])
 
     def ends(t, y):
         if not robin:
@@ -689,8 +689,7 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
         out = []
         for bc, cx in ((bc_left, _end_gradient(y[0], y[1], y[2], dx)),
                        (bc_right, -_end_gradient(y[-1], y[-2], y[-3], dx))):
-            P, R = bc.coefficients_at(t)
-            Q = float(bc.Q)
+            R, P, Q = bc.coefficients_at(t)
             out.append((R + P * cx + Q * cx * cx, P + 2.0 * Q * cx))
         return out
 
@@ -784,8 +783,8 @@ def reconstruct_micro(state: MacroState, grid: Grid1D):
     Cx[1:-1] = (C[2:] - C[:-2]) / (2.0 * dx)
     Cx[0] = (-3.0 * C[0] + 4.0 * C[1] - C[2]) / (2.0 * dx)
     Cx[-1] = (3.0 * C[-1] - 4.0 * C[-2] + C[-3]) / (2.0 * dx)
-    h = system.solver_units(system.SHEAR)
-    shear = h[2, 0] * C * C + h[0, 1] * Cx
+    h = system.solver_units(system.SHEAR, FIELD_SCALE)
+    shear = float(h[2, 0]) * C * C + float(h[0, 1]) * Cx
     return MicroState(a=C + shear, b=C - shear, t=state.t)
 
 

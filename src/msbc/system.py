@@ -23,7 +23,7 @@ from .series import SeriesVector, Space, TruncatedSeries
 DIFFUSION, ADVECTION, EXCHANGE, REACTION = 3, 1, Fraction(1, 2), Fraction(1, 2)
 # The derivation's variables are the solver fields over FIELD_SCALE, which
 # makes the quadratic coefficient of the steady rows over D, K FIELD_SCALE/D,
-# 1/2.  ``solver_units`` and ``RobinBC.rescaled`` carry results across.
+# 1/2.  ``solver_units`` carries results across.
 FIELD_SCALE = 3
 # The macroscale model in solver units, C_t = D_eff (C_xx - G2(C, C_x)).  The
 # effective diffusivity D_eff comes from the time-dependent problem, which
@@ -36,11 +36,13 @@ SLOW_FLOW = {(1, 1): Fraction(3, 2), (3, 0): Fraction(-9, 8)}
 SHEAR = {(0, 1): Fraction(-1), (2, 0): Fraction(3, 2)}
 
 
-def solver_units(poly):
-    """A field given as ``{(i, j): c}`` in the derivation's (s1, s2), as
-    float coefficients of C^i C_x^j in solver units (C = FIELD_SCALE s1)."""
-    return {(i, j): float(c * Fraction(FIELD_SCALE) ** (1 - i - j))
-            for (i, j), c in poly.items()}
+def solver_units(poly, k):
+    """A polynomial given as ``{exponents: c}`` in the derivation's
+    variables, as exact coefficients in fields ``k`` times those variables:
+    a term of total degree d gains k^(1-d).  The one hand-over rule, for G2
+    and the shear in (s1, s2) -> (C, C_x) and for a Robin relation in
+    (C_x, data pair)."""
+    return {e: c * Fraction(k) ** (1 - sum(e)) for e, c in poly.items()}
 
 
 STATE_VARS = ("a", "b", "ap", "bp", "eps")
@@ -119,7 +121,10 @@ def coordinate_map():
 
     s1 is the mean field, s2 its spatial gradient; s3 and s4 parametrise the
     stable and unstable directions.  Rows 3 and 4 are left eigenvectors of
-    the embedded linear matrices for the decaying and growing rates.
+    ``build_original().linear`` and of embedding A's matrix (not of B's) for
+    the decaying and growing rates -mu and mu, each normalised so that
+    l·r = 1 for the fast right eigenvector r with unit stream difference
+    a - b = 1.
     """
     return Matrix([
         [Fraction(1, 2), Fraction(1, 2), 0, 0],

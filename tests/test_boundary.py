@@ -101,6 +101,23 @@ def test_left_bc_general_coefficients(derivation):
     assert against_printed(coef(bc.R, a0=2), "0.18")
 
 
+@pytest.mark.parametrize("side, names", [("left", ("Cx", "a0", "b0")),
+                                         ("right", ("Cx", "aL", "bL"))])
+def test_relation_is_the_reverted_slow_amplitude_to_total_degree_two(derivation, side,
+                                                                     names):
+    # R quadratic in the data (5 terms), P linear (3), Q constant (1): every
+    # term of the reverted s1 up to total degree 2 in (s2_0, a0, b0)
+    bc = derivation["bc_" + side]
+    assert bc.relation.space.names == names and bc.relation.space.order == 2
+    assert sorted(bc.relation.terms) == [(0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1),
+                                         (0, 2, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0),
+                                         (2, 0, 0)]
+    assert (len(bc.R.terms), len(bc.P.terms), abs(bc.Q)) == (5, 3, 3)
+    left = derivation["bc_left"].relation
+    for (q, i, j), c in left.terms.items():
+        assert c == coef(derivation["reverted"].s1_series, s2_0=q, a0=i, b0=j)
+
+
 def test_left_bc_scenario_specialisation(derivation):
     # inflow 0.2 f on one stream only: quoted condition
     #   C - (0.75 f + 0.5) Cx - 3 Cx^2 = 0.15 f + 0.007 f^2, here at f = 1
@@ -114,10 +131,9 @@ def test_left_bc_scenario_specialisation(derivation):
 
 
 def test_left_bc_homogeneous_data():
-    sp2 = boundary.Space(("a0", "b0"), 2)
+    sp = boundary.Space(("Cx", "a0", "b0"), 2)
     bc = boundary.RobinBC(
-        P=TruncatedSeries(sp2, {(0, 0): F(1, 2)}), Q=F(3),
-        R=TruncatedSeries.zero(sp2), side="left",
+        TruncatedSeries(sp, {(1, 0, 0): F(1, 2), (2, 0, 0): F(3)}), side="left",
         data=(lambda t: 0.0, lambda t: 0.0))
     assert bc.residual(0.0, 0.0, 0.0) == 0.0
     # C - 0.5 Cx - 3 Cx^2 = 0 with zero data
@@ -156,17 +172,18 @@ def test_right_bc_mirrors_left_for_swapped_data(derivation):
     assert right.Q == -left.Q
 
 
+def _mirror(terms):
+    """S(Cx, u, v) -> -S(Cx, -v, -u), term by term."""
+    return {(q, j, i): -c * (-1) ** (i + j) for (q, i, j), c in terms.items()}
+
+
 def test_reflection_is_an_involution(derivation):
     rev = derivation["reverted"]
     data = BoundaryData()
     once = boundary.assemble_right_bc(rev, data)
-    from msbc.boundary import _reflect
-    P_back = -1 * _reflect(once.P, names=("a0", "b0"))
-    R_back = -1 * _reflect(once.R, names=("a0", "b0"))
     left = boundary.assemble_left_bc(rev, data)
-    assert P_back == left.P
-    assert R_back == left.R
-    assert -once.Q == left.Q
+    assert once.relation.terms == _mirror(left.relation.terms)
+    assert _mirror(once.relation.terms) == left.relation.terms
 
 
 def test_residual_exact_pair_and_reference_point(derivation):
@@ -236,8 +253,9 @@ def test_compiled_closure_bit_identical_to_exact(derivation, side, linear):
     # the compiled P_at/R_at at any data point
     probe = dataclasses.replace(bc, data=(operator.itemgetter(0), operator.itemgetter(1)))
     for pt in _closure_points(0 if side == "left" else 1):
-        for fast, exact in ((probe.P_at(pt), bc.P.evaluate(pt)),
-                            (probe.R_at(pt), bc.R.evaluate(pt))):
+        R, P, Q = probe.coefficients_at(pt)
+        for fast, exact in ((R, bc.R.evaluate(pt)), (P, bc.P.evaluate(pt)),
+                            (Q, bc.Q)):
             assert fast == float(exact) and repr(fast) == repr(float(exact)), pt
 
 
@@ -258,9 +276,10 @@ def test_coefficients_at_reads_data_once(derivation, side):
     bc = dataclasses.replace(derivation["bc_" + side], data=_counting_data(reads))
     for t in (0.0, 0.7, 3.0, 21.0):
         reads.clear()
-        P, R = bc.coefficients_at(t)
+        R, P, Q = bc.coefficients_at(t)
         assert reads == [0, 1]
         assert repr(P) == repr(bc.P_at(t)) and repr(R) == repr(bc.R_at(t))
+        assert repr(Q) == repr(float(bc.Q))
 
 
 def test_boundary_data_descriptions():

@@ -203,6 +203,15 @@ def test_construct_refuses_defective_linear_part():
         normalform.construct(system.build_original(), order=3)
 
 
+def test_slow_columns_refuse_a_degenerate_span():
+    rows = system.coordinate_map().rows
+    kernel = [F(1), F(1), F(0), F(0)]
+    assert normalform._slow_columns([kernel, [F(-1), F(1), F(1), F(1)]], rows) == \
+        [[1, 1, 0, 0], [-1, 1, 1, 1]]
+    with pytest.raises(ConstructionRefused, match="degenerate"):
+        normalform._slow_columns([kernel, [2 * x for x in kernel]], rows)
+
+
 def test_construct_rejects_low_order():
     with pytest.raises(ValueError):
         normalform.construct(system.build_embedding("A"), order=1)

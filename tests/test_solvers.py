@@ -445,15 +445,14 @@ def test_macro_robin_snapshot_violating_its_relation_is_an_error(monkeypatch):
     # conditions C - Cx^2 = 0 and C + Cx^2 = 0 whose closure reads an R off
     # by 1e-6: the end values then miss the relation by that much, and the
     # snapshot check must refuse the state
-    sp2 = Space(("a0", "b0"), 2)
+    sp = Space(("Cx", "a0", "b0"), 2)
     quiet = (lambda t: 0.0, lambda t: 0.0)
-    bcs = [boundary.RobinBC(P=TruncatedSeries.zero(sp2), Q=F(q), R=TruncatedSeries.zero(sp2),
-                            side=side, data=quiet)
+    bcs = [boundary.RobinBC(TruncatedSeries(sp, {(2, 0, 0): F(q)}), side=side, data=quiet)
            for q, side in ((1, "left"), (-1, "right"))]
     coefficients_at = boundary.RobinBC.coefficients_at
     monkeypatch.setattr(boundary.RobinBC, "coefficients_at",
-                        lambda bc, t: (coefficients_at(bc, t)[0],
-                                       coefficients_at(bc, t)[1] + 1e-6))
+                        lambda bc, t: (coefficients_at(bc, t)[0] + 1e-6,
+                                       *coefficients_at(bc, t)[1:]))
     cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=zero_data(),
                       bc_mode="robin-derived")
     with pytest.raises(SolverError, match=r"^boundary relation unsatisfied at t=1 on the "

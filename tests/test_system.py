@@ -111,12 +111,22 @@ def test_coordinate_map_rows():
 
 
 def test_map_rows_are_left_eigenvectors_of_embedding_a():
+    # rows 3-4 are the left eigenvectors of build_original's linear part for
+    # -mu and mu, each scaled so that l·r = 1 for the fast right eigenvector r
+    # with unit stream difference a - b; embedding A shares them
     cm = system.coordinate_map()
+    linear = system.build_original().linear
+    right, left = eigen(linear), eigen(Matrix([list(col) for col in zip(*linear.rows)]))
+    mu = right.eigenvalues[-1]
+    assert right.eigenvalues == left.eigenvalues == [-mu, 0, 0, mu]
     A = system.build_embedding("A").linear
-    for i, lam in ((2, F(-2, 3)), (3, F(2, 3))):
-        w = cm.rows[i]
-        wA = [sum(w[k] * A[k, j] for k in range(4)) for j in range(4)]
-        assert max(abs(float(x - lam * y)) for x, y in zip(wA, w)) <= 1e-12
+    for i, lam in ((2, -mu), (3, mu)):
+        (r,), = (basis for (v, _), basis in zip(right.values, right.vectors) if v == lam)
+        (l,), = (basis for (v, _), basis in zip(left.values, left.vectors) if v == lam)
+        r = [x / (r[0] - r[1]) for x in r]
+        l = [x / sum(p * q for p, q in zip(l, r)) for x in l]
+        assert cm.rows[i] == l
+        assert [sum(l[k] * A[k, j] for k in range(4)) for j in range(4)] == [lam * x for x in l]
 
 
 def test_slow_columns_of_inverse_map():
