@@ -40,9 +40,11 @@ the separated coordinates.  The parameter-1 view's knob influence is the same
 residual of the unit kernel slot alone (the residual is linear in the slice
 one degree down).  ``_pin_slow`` holds the slow-manifold parametrisation,
 ``_lift`` maps solved coefficients back to the state and ``_assemble`` turns
-the slices into series.  The parameter-1 view takes its kernel, Jordan step
-and fast eigenvectors from one ``linalg.eigen`` call on the unembedded
-matrix, and solves its coupled kernel slots with ``linalg.solve``.
+the slices into series.  Both views take their linear set-up from
+``_frame``: one ``linalg.eigen`` call, the map-aligned columns and their
+inverse, the pinning rows and the split perturbation, on the one lane it
+picks (exact, or float for an irrational spectrum).  The parameter-1 view
+solves its coupled kernel slots with ``linalg.solve``.
 
 A slice (one component's terms of one degree) is a dict while a step still
 writes it, and is frozen once it is finished: packed into a list of
@@ -197,8 +199,9 @@ def _derivative(p, j):
     return dp
 
 
-def _linear_slices(t1, lam):
+def _linear_slices(t1, mu):
     """Degree-1 slices of T (the aligned columns) and of G (the rates)."""
+    lam = [n * mu for n in _EIGEN_PATTERN]
     units = [1 << _SHIFTS[j] for j in range(4)]
     T1 = [{units[j]: t1[i][j] for j in range(4) if t1[i][j] != 0} for i in range(4)]
     G1 = [({units[i]: lam[i]} if lam[i] != 0 else {}) for i in range(4)]
@@ -333,39 +336,56 @@ class GradedSeries:
     eps_order: int
 
 
-def _aligned_eigenbasis(system: SpatialSystem, cmap):
-    """Columns (slow1, slow2, stable, unstable) with the slow pair pinned by
-    coordinate-map rows 1-2 and the fast columns normalised by rows 3-4.
+def _frame(system: SpatialSystem, collapsed):
+    """The linear set-up of either view: ``(eig, mu, t1, t1inv, rows, alpha,
+    beta, quad, N)``, from one ``linalg.eigen`` call on a -mu, 0, 0, mu
+    spectrum.  ``t1``'s columns are the slow pair dual to map rows 1-2 over
+    the zero eigenvectors (``collapsed``: the eigenvector and its Jordan
+    step), then the fast eigenvectors normalised by rows 3-4.
 
-    Returns (columns, mu, exact) where ``exact`` says whether the lane is
-    rational.
+    The one lane switch: a rational mu keeps every entry an exact Fraction.
+    An irrational pair (embedding B) comes from ``linalg.eigen`` as floats,
+    so the frame goes float: kernel and map ``rows`` through ``float()``,
+    ``t1`` scaled by 1.0 and inverted by numpy.  The collapsed view solves
+    and checks its Jordan form exactly, so it refuses that lane.
     """
     eig = linalg.eigen(system.linear)
-    if not eig.diagonalizable:
-        raise ConstructionRefused(
-            "linear part has a generalised eigenvector; embed the system first")
-    by_val = dict()
-    for (lam, mult), basis in zip(eig.values, eig.vectors):
-        by_val[lam if isinstance(lam, Fraction) else float(lam)] = (mult, basis)
-    zero = next((v for v in by_val if v == 0), None)
-    if zero is None or by_val[zero][0] != 2:
-        raise ConstructionRefused("expected a double zero eigenvalue")
-    fast = sorted((v for v in by_val if v != 0), key=float)
-    if len(fast) != 2 or float(fast[0]) != -float(fast[1]):
-        raise ConstructionRefused("expected a symmetric stable/unstable pair")
-    mu = fast[1]
+    mu = eig.eigenvalues[-1]
     exact = isinstance(mu, Fraction)
+    if not (mu > 0 and eig.eigenvalues == [-mu, 0, 0, mu]) or (collapsed and not exact):
+        raise ConstructionRefused(
+            ("collapsed " if collapsed else "") + "spectrum outside the handled family")
+    by_val = dict(zip((lam for lam, _ in eig.values), eig.vectors))
+    # in this family the zero eigenvalue is defective exactly when it has a
+    # Jordan step: the collapsed view needs one, the graded view none
+    step = dict(eig.generalized).get(0)
+    if collapsed != (step is not None):
+        raise ConstructionRefused(
+            "collapsed zero eigenvalue has no Jordan step" if collapsed else
+            "linear part has a generalised eigenvector; embed the system first")
+    span = [by_val[0][0], step] if collapsed else by_val[0]
 
-    kernel = by_val[zero][1]
-    if len(kernel) != 2:
-        raise ConstructionRefused("zero eigenspace is not two-dimensional")
+    rows = coordinate_map().rows
     if not exact:
-        kernel = [[float(x) for x in v] for v in kernel]
+        span = [[float(x) for x in v] for v in span]
+        rows = [[float(x) for x in r] for r in rows]
+    cols = _slow_columns(span, rows) + [_fast_column(by_val[-mu], rows[2]),
+                                        _fast_column(by_val[mu], rows[3])]
+    one = Fraction(1) if exact else 1.0
+    t1 = [[cols[j][i] * one for j in range(4)] for i in range(4)]
+    if exact:
+        t1inv = linalg.Matrix(t1).inverse().rows
+    else:
+        t1inv = [list(map(float, r)) for r in np.linalg.inv(np.array(t1, dtype=float))]
 
-    rows = cmap.rows if exact else [[float(x) for x in r] for r in cmap.rows]
-    cols = _slow_columns(kernel, rows) + [_fast_column(by_val[fast[0]][1], rows[2]),
-                                          _fast_column(by_val[fast[1]][1], rows[3])]
-    return cols, mu, exact
+    alpha = [t1[0][j] + t1[1][j] for j in range(4)]
+    beta = [t1[2][j] + t1[3][j] for j in range(4)]
+    if alpha[0] != 2 or alpha[1] != 0 or beta[0] != 0 or beta[1] != 2:
+        raise ConstructionRefused("slow columns not aligned with the mean/gradient rows")
+    quad, N, has_eps = _perturbation_shape(system, one)
+    if collapsed and has_eps:
+        raise ConstructionRefused("system still carries the embedding parameter")
+    return eig, mu, t1, t1inv, rows, alpha, beta, quad, N
 
 
 def _slow_columns(span, rows):
@@ -425,32 +445,16 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
     """Graded view of an embedding: build (transform, evolution,
     ResonanceReport), the first two as ``GradedSeries``."""
     check_order(order)
-    cmap = coordinate_map()
     if eps_order is None:
         eps_order = DEFAULT_EPS_ORDER
-    cols, mu, exact = _aligned_eigenbasis(system, cmap)
-
-    one = Fraction(1) if exact else 1.0
-    t1 = [[cols[j][i] * one for j in range(4)] for i in range(4)]  # rows: state
-    if exact:
-        t1inv = linalg.Matrix(t1).inverse().rows
-    else:
-        t1inv = [list(map(float, r)) for r in np.linalg.inv(np.array(t1, dtype=float))]
-
-    alpha = [t1[0][j] + t1[1][j] for j in range(4)]
-    beta = [t1[2][j] + t1[3][j] for j in range(4)]
-    if alpha[0] != 2 or alpha[1] != 0 or beta[0] != 0 or beta[1] != 2:
-        raise ConstructionRefused("slow columns not aligned with the mean/gradient rows")
+    _, mu, t1, t1inv, rows, alpha, beta, quad, N = _frame(system, collapsed=False)
     # map-row content of each column, for keeping the fast columns aligned
     # with rows 3 and 4 at every parameter order (automatic when those rows
     # are left eigenvectors of the base matrix, as for one embedding family)
-    row3 = [sum((cmap.rows[2][c] * one) * t1[c][j] for c in range(4)) for j in range(4)]
-    row4 = [sum((cmap.rows[3][c] * one) * t1[c][j] for c in range(4)) for j in range(4)]
+    row3 = [sum(rows[2][c] * t1[c][j] for c in range(4)) for j in range(4)]
+    row4 = [sum(rows[3][c] * t1[c][j] for c in range(4)) for j in range(4)]
 
-    quad, N, _ = _perturbation_shape(system, one)
-    lam = [n * mu for n in _EIGEN_PATTERN]
-
-    T1, G1 = _linear_slices(t1, lam)
+    T1, G1 = _linear_slices(t1, mu)
     T, G = {1: _freeze(T1)}, {1: _freeze(G1)}
 
     report = ResonanceReport()
@@ -551,43 +555,17 @@ def construct_at_unity(system: SpatialSystem, order=3):
     interaction).
     """
     check_order(order)
-    cmap = coordinate_map()
-    A = system.linear
-    eig = linalg.eigen(A)
-    mu = eig.eigenvalues[-1]
-    if not (isinstance(mu, Fraction) and mu > 0 and eig.eigenvalues == [-mu, 0, 0, mu]):
-        raise ConstructionRefused("collapsed spectrum outside the handled family")
-    by_val = dict(zip((lam for lam, _ in eig.values), eig.vectors))
-
-    kernel = by_val[0]
-    if len(kernel) != 1:
-        raise ConstructionRefused("collapsed zero eigenspace must be a single line")
-    step = dict(eig.generalized).get(0)
-    if step is None:
-        raise ConstructionRefused("no generalised slow direction")
-    # over the kernel and the Jordan step A·w = kernel[0], the pair dual to
-    # map rows 1 and 2 has A·c2 = h·c1 (h = 1 in this family); the check
-    # below asks for that Jordan-aligned form
-    cols = _slow_columns([kernel[0], step], cmap.rows) + [
-        _fast_column(by_val[-mu], cmap.rows[2]), _fast_column(by_val[mu], cmap.rows[3])]
-    t1 = [[cols[j][i] for j in range(4)] for i in range(4)]
-    t1m = linalg.Matrix(t1)
-    t1inv_m = t1m.inverse()
-    t1inv = t1inv_m.rows
-    # A in this basis: diag(0,0,-mu,mu) plus the (1,2) nilpotent entry
-    nil = (t1inv_m * A * t1m).rows
+    eig, mu, t1, t1inv, _, alpha, beta, quad, _ = _frame(system, collapsed=True)
+    # the slow pair over the kernel and the Jordan step has A·c2 = h·c1
+    # (h = 1 in this family): A in this basis is diag(0,0,-mu,mu) plus the
+    # (1,2) nilpotent entry
+    nil = (linalg.Matrix(t1inv) * system.linear * linalg.Matrix(t1)).rows
     expected = [[0, nil[0][1], 0, 0], [0, 0, 0, 0], [0, 0, -mu, 0], [0, 0, 0, mu]]
     if nil != expected or nil[0][1] == 0:
         raise ConstructionRefused("collapsed linear part is not in Jordan-aligned form")
     h = nil[0][1]
 
-    alpha = [t1[0][j] + t1[1][j] for j in range(4)]
-    beta = [t1[2][j] + t1[3][j] for j in range(4)]
-    quad, N, has_eps = _perturbation_shape(system, Fraction(1))
-    if has_eps:
-        raise ConstructionRefused("system still carries the embedding parameter")
-
-    T1, G1 = _linear_slices(t1, [n * mu for n in _EIGEN_PATTERN])
+    T1, G1 = _linear_slices(t1, mu)
     G1[0][1 << _SHIFTS[1]] = h  # d s1/dx = s2 at linear order
     T, G = {1: _freeze(T1)}, {1: _freeze(G1)}
     # T[d-1] stays open through degree d: the knob step writes into it after
@@ -913,7 +891,8 @@ def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
                     tail = max(tail, abs(db[m] - wynn_epsilon(s[:-TAIL_STEP])))
             for key in set(da) | set(db):
                 worst = max(worst, abs(float(da.get(key, 0)) - float(db.get(key, 0))))
-            for key in set(da) | {e for e in cu.terms if min(e[2], e[3]) == 0}:
-                gap = max(gap, abs(float(da.get(key, 0)) - float(cu.terms.get(key, 0))))
+            du = _separated_sector(cu)
+            for key in set(da) | set(du):
+                gap = max(gap, abs(float(da.get(key, 0)) - float(du.get(key, 0))))
     passed = worst <= tolerance and gap <= tolerance and tail <= tolerance
     return CrossCheck(passed, worst, gap, tail, order, eps_order, tolerance)

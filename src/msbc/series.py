@@ -494,9 +494,6 @@ class SeriesVector:
     def __eq__(self, other):
         return isinstance(other, SeriesVector) and self.components == other.components
 
-    def map(self, fn):
-        return SeriesVector([fn(c) for c in self.components])
-
     def __repr__(self):
         return "SeriesVector(%r)" % (self.components,)
 

@@ -203,6 +203,20 @@ def test_construct_refuses_defective_linear_part():
         normalform.construct(system.build_original(), order=3)
 
 
+def test_construct_at_unity_refuses_a_diagonalisable_zero_eigenvalue():
+    # embedding A's double zero eigenvalue has two eigenvectors, no Jordan step
+    with pytest.raises(ConstructionRefused):
+        normalform.construct_at_unity(system.build_embedding("A"), order=3)
+
+
+def test_construct_at_unity_refuses_an_irrational_collapsed_spectrum(monkeypatch):
+    # exchange 1 gives the rates +-sqrt(7)/3, which the exact view cannot hold
+    monkeypatch.setattr(system, "EXCHANGE", F(1))
+    with pytest.raises(ConstructionRefused,
+                       match="collapsed spectrum outside the handled family"):
+        normalform.construct_at_unity(system.build_original(), order=3)
+
+
 def test_slow_columns_refuse_a_degenerate_span():
     rows = system.coordinate_map().rows
     kernel = [F(1), F(1), F(0), F(0)]
