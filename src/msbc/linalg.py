@@ -4,17 +4,18 @@ Everything here works over :class:`fractions.Fraction`.  One elimination,
 ``row_reduce`` (exact reduced row echelon form, first nonzero pivot), serves
 every solve in the package: ``Matrix.inverse``, ``nullspace``, ``solve`` (one
 particular solution with free unknowns 0) and the generalised directions of
-``eigen``.  Eigenvalues are found by factoring the characteristic polynomial
-exactly: rational roots via the rational-root theorem with deflation, and a
-leftover quadratic factor is surfaced as an irrational pair (returned as
-floats, with eigenvectors from an SVD).  The derivation keeps exact
-arithmetic wherever the spectrum is rational.
+``eigen``.  Every spatial system of the model has eigenvalues -mu, 0, 0, mu,
+and ``family_rate`` is the one spectrum rule: it reads mu off the exact
+characteristic polynomial and refuses any other matrix.  mu stays exact
+when it is rational; otherwise it and its eigenvectors (from an SVD) are
+floats.  The derivation keeps exact arithmetic wherever the spectrum is
+rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, sqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
@@ -69,15 +70,12 @@ class Matrix:
         return Matrix([[v * c for v in row] for row in self.rows])
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.m != other.n:
-                raise LinalgError("shape mismatch")
-            return Matrix([
-                [sum((self.rows[i][k] * other.rows[k][j] for k in range(self.m)), Fraction(0))
-                 for j in range(other.m)]
-                for i in range(self.n)
-            ])
-        return self.scaled(other)
+        if self.m != other.n:
+            raise LinalgError("shape mismatch")
+        cols = list(zip(*other.rows))
+        # the spatial matrices are half zeros: skip the zero products
+        return Matrix([[sum((a * b for a, b in zip(row, col) if a and b), Fraction(0))
+                        for col in cols] for row in self.rows])
 
     def trace(self):
         return sum((self.rows[i][i] for i in range(self.n)), Fraction(0))
@@ -171,85 +169,44 @@ def nullspace(mat):
     return basis
 
 
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs, root):
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1] * root)
-    return out
-
-
-def rational_roots(coeffs):
-    """All rational roots (with multiplicity) of a rational-coefficient
-    polynomial, plus the deflated remainder polynomial."""
-    coeffs = [_frac(c) for c in coeffs]
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    roots = []
-    while len(ints) > 1:
-        if ints[-1] == 0:
-            roots.append(Fraction(0))
-            ints = ints[:-1]
-            continue
-        cands = [Fraction(s * p, q)
-                 for p in _divisors(ints[-1]) for q in _divisors(ints[0]) for s in (1, -1)]
-        hit = next((c for c in cands if _poly_eval([Fraction(v) for v in ints], c) == 0), None)
-        if hit is None:
-            break
-        roots.append(hit)
-        fracs = _deflate([Fraction(v) for v in ints], hit)
-        den2 = lcm(*(c.denominator for c in fracs))
-        ints = [int(c * den2) for c in fracs]
-    remainder = [Fraction(v) for v in ints]
-    if remainder and remainder[0] not in (0, 1):
-        lead = remainder[0]
-        remainder = [c / lead for c in remainder]
-    return roots, remainder
+def family_rate(mat):
+    """The rate mu > 0 of a matrix with eigenvalues -mu, 0, 0, mu, the one
+    spectral family the derivation handles: its characteristic polynomial
+    is [1, 0, c2, 0, 0] with c2 < 0, and mu^2 = -c2.  mu is an exact
+    Fraction when mu^2 is a rational square, a float otherwise.  Any other
+    matrix raises LinalgError.
+    """
+    coeffs = mat.charpoly()
+    if len(coeffs) != 5 or coeffs[1] or coeffs[3] or coeffs[4] or coeffs[2] >= 0:
+        raise LinalgError("spectrum outside the -mu, 0, 0, mu family")
+    sq = -coeffs[2]
+    num, den = isqrt(sq.numerator), isqrt(sq.denominator)
+    if num * num == sq.numerator and den * den == sq.denominator:
+        return Fraction(num, den)
+    return sqrt(float(sq))
 
 
 class Eigen:
-    """Eigen-decomposition summary of a small rational matrix.
+    """Eigen-decomposition of a matrix in the -mu, 0, 0, mu family.
 
-    ``values`` pairs each eigenvalue with its algebraic multiplicity;
-    rational eigenvalues stay exact, an irrational pair from a leftover
-    quadratic factor comes back as floats.  ``vectors[i]`` lists a basis of
-    the corresponding eigenspace (exact for rational eigenvalues).
+    ``values`` pairs each eigenvalue with its algebraic multiplicity,
+    [(-mu, 1), (0, 2), (mu, 1)], and ``vectors[i]`` lists a basis of the
+    corresponding eigenspace; an irrational mu and its vectors are floats.
 
     ``eigenvalues`` and ``eigenvectors`` are the flat lists, one entry per
-    algebraic multiplicity.  For a defective eigenvalue the vector list
-    repeats the available eigenvectors, so every (value, vector) pair
-    satisfies A v = lambda v; ``generalized`` holds one Jordan chain step
-    (lambda, w) with (A - lambda) w = v for the first eigenvector v.
+    algebraic multiplicity.  A defective zero repeats its one eigenvector,
+    so every (value, vector) pair satisfies A v = lambda v, and
+    ``generalized`` holds its Jordan chain step (0, w) with A w = v.
     """
 
-    def __init__(self, values, vectors, diagonalizable, generalized):
-        self.values = values
+    def __init__(self, mu, vectors, generalized):
+        self.values = [(-mu, 1), (Fraction(0), 2), (mu, 1)]
         self.vectors = vectors
-        self.diagonalizable = diagonalizable
+        self.diagonalizable = not generalized
         self.generalized = generalized
-        self.eigenvalues, self.eigenvectors = [], []
-        for (lam, mult), basis in zip(values, vectors):
-            for k in range(mult):
-                self.eigenvalues.append(lam)
-                self.eigenvectors.append(basis[min(k, len(basis) - 1)])
+        minus, zero, plus = vectors
+        self.eigenvalues = [-mu, Fraction(0), Fraction(0), mu]
+        self.eigenvectors = [minus[0], zero[0], zero[-1], plus[0]]
 
     def residuals(self, mat):
         """max |A v - lambda v| for each flat (value, vector) pair."""
@@ -263,46 +220,19 @@ class Eigen:
 
 
 def eigen(mat):
-    if mat.n != mat.m:
-        raise LinalgError("not square")
-    coeffs = mat.charpoly()
-    roots, remainder = rational_roots(coeffs)
-    values = []
-    for r in sorted(set(roots), key=float):
-        values.append((r, roots.count(r)))
-    if len(remainder) > 1:
-        if len(remainder) != 3:
-            raise LinalgError("irrational factor of degree %d unsupported"
-                              % (len(remainder) - 1))
-        a, b, c = remainder
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            raise LinalgError("complex eigenvalues unsupported for this family")
-        sq = sqrt(float(disc))
-        for lam in sorted(((-float(b) - sq) / (2 * float(a)),
-                           (-float(b) + sq) / (2 * float(a)))):
-            values.append((lam, 1))
-        values.sort(key=lambda p: float(p[0]))
-    vectors = []
-    generalized = []
-    geo = 0
-    for lam, mult in values:
-        if isinstance(lam, Fraction):
-            shifted = mat - Matrix.identity(mat.n).scaled(lam)
-            basis = nullspace(shifted)
-            if len(basis) < mult:
-                # one Jordan chain step is enough for this family
-                w, consistent = solve(shifted.rows, basis[0], mat.n)
-                if consistent:
-                    generalized.append((lam, w))
-        else:
-            A = mat.to_float() - lam * np.eye(mat.n)
-            _, s, vt = np.linalg.svd(A)
-            tol = max(A.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-            basis = [vt[i] for i in range(len(s)) if s[i] <= max(tol, 1e-10)]
-            if not basis:
-                basis = [vt[-1]]
-            basis = [list(map(float, v)) for v in basis]
-        vectors.append(basis)
-        geo += len(basis)
-    return Eigen(values, vectors, geo == mat.n, generalized)
+    """The ``Eigen`` of a matrix in the -mu, 0, 0, mu family (mu from
+    ``family_rate``; LinalgError for any other matrix)."""
+    mu = family_rate(mat)
+    zero = nullspace(mat)
+    # only the zero can be defective, as one 2x2 Jordan block: its one
+    # eigenvector is then always in the range of the matrix
+    step = [] if len(zero) == 2 else [(Fraction(0), solve(mat.rows, zero[0], mat.n)[0])]
+    return Eigen(mu, [simple_eigenvector(mat, -mu), zero, simple_eigenvector(mat, mu)], step)
+
+
+def simple_eigenvector(mat, lam):
+    """[v] for a simple eigenvalue lam: exact when lam is rational, else the
+    right singular vector of the smallest singular value of A - lam."""
+    if isinstance(lam, Fraction):
+        return nullspace(mat - Matrix.identity(mat.n).scaled(lam))
+    return [list(map(float, np.linalg.svd(mat.to_float() - lam * np.eye(mat.n))[2][-1]))]

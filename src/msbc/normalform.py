@@ -339,9 +339,10 @@ class GradedSeries:
 def _frame(system: SpatialSystem, collapsed):
     """The linear set-up of either view: ``(eig, mu, t1, t1inv, rows, alpha,
     beta, quad, N)``, from one ``linalg.eigen`` call on a -mu, 0, 0, mu
-    spectrum.  ``t1``'s columns are the slow pair dual to map rows 1-2 over
-    the zero eigenvectors (``collapsed``: the eigenvector and its Jordan
-    step), then the fast eigenvectors normalised by rows 3-4.
+    spectrum (any other is refused).  ``t1``'s columns are the slow pair
+    dual to map rows 1-2 over the zero eigenvectors (``collapsed``: the
+    eigenvector and its Jordan step), then the fast eigenvectors normalised
+    by rows 3-4.
 
     The one lane switch: a rational mu keeps every entry an exact Fraction.
     An irrational pair (embedding B) comes from ``linalg.eigen`` as floats,
@@ -349,28 +350,30 @@ def _frame(system: SpatialSystem, collapsed):
     ``t1`` scaled by 1.0 and inverted by numpy.  The collapsed view solves
     and checks its Jordan form exactly, so it refuses that lane.
     """
-    eig = linalg.eigen(system.linear)
+    refusal = ("collapsed " if collapsed else "") + "spectrum outside the handled family"
+    try:
+        eig = linalg.eigen(system.linear)
+    except linalg.LinalgError:
+        raise ConstructionRefused(refusal) from None
     mu = eig.eigenvalues[-1]
     exact = isinstance(mu, Fraction)
-    if not (mu > 0 and eig.eigenvalues == [-mu, 0, 0, mu]) or (collapsed and not exact):
-        raise ConstructionRefused(
-            ("collapsed " if collapsed else "") + "spectrum outside the handled family")
-    by_val = dict(zip((lam for lam, _ in eig.values), eig.vectors))
-    # in this family the zero eigenvalue is defective exactly when it has a
-    # Jordan step: the collapsed view needs one, the graded view none
+    if collapsed and not exact:
+        raise ConstructionRefused(refusal)
+    (minus,), zero, (plus,) = eig.vectors
+    # the collapsed view needs the zero's Jordan step, the graded view none
     step = dict(eig.generalized).get(0)
     if collapsed != (step is not None):
         raise ConstructionRefused(
             "collapsed zero eigenvalue has no Jordan step" if collapsed else
             "linear part has a generalised eigenvector; embed the system first")
-    span = [by_val[0][0], step] if collapsed else by_val[0]
+    span = [zero[0], step] if collapsed else zero
 
     rows = coordinate_map().rows
     if not exact:
         span = [[float(x) for x in v] for v in span]
         rows = [[float(x) for x in r] for r in rows]
-    cols = _slow_columns(span, rows) + [_fast_column(by_val[-mu], rows[2]),
-                                        _fast_column(by_val[mu], rows[3])]
+    cols = _slow_columns(span, rows) + [_fast_column(minus, rows[2]),
+                                        _fast_column(plus, rows[3])]
     one = Fraction(1) if exact else 1.0
     t1 = [[cols[j][i] * one for j in range(4)] for i in range(4)]
     if exact:
@@ -404,14 +407,12 @@ def _slow_columns(span, rows):
     return cols
 
 
-def _fast_column(basis, row):
-    """The simple fast eigenvector, normalised against its map row (3 or 4)."""
-    if len(basis) != 1:
-        raise ConstructionRefused("fast eigenspaces must be simple")
-    scale = _dot(row, basis[0])
+def _fast_column(vector, row):
+    """The fast eigenvector, normalised against its map row (3 or 4)."""
+    scale = _dot(row, vector)
     if scale == 0:
         raise ConstructionRefused("fast eigenvector orthogonal to its map row")
-    return [x / scale for x in basis[0]]
+    return [x / scale for x in vector]
 
 
 def _perturbation_shape(system, one):

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .linalg import Matrix
+from .linalg import LinalgError, Matrix, family_rate, simple_eigenvector
 from .series import SeriesVector, Space, TruncatedSeries
 
 # The microscale model in solver units, D, V, X and K of
@@ -92,18 +93,22 @@ def build_original():
     return SpatialSystem(linear, nonlinear, label="original")
 
 
-_WEIGHTS = {"A": Fraction(1, 2), "B": Fraction(1, 6)}
-
-
 def build_embedding(variant):
     """One-parameter embedding family with diagonalisable linear part: the
     original system plus (eps - 1) E_w, where E_w has rows (0, 0, 0, 1),
-    (0, 0, 1, 0), (0, 0, w, -w) and (0, 0, w, -w), with w = 1/2 for variant
-    "A" and 1/6 for "B".  Both reduce exactly to the original at parameter 1.
+    (0, 0, 1, 0), (0, 0, w, -w) and (0, 0, w, -w); both variants reduce
+    exactly to the original at parameter 1.  The family's rates satisfy
+    D^2 lambda^2 = V^2 + 4DX - 2DVw + 2D eps (Vw - X).  "A" takes w = X/V,
+    the one weight whose rates do not depend on eps.  "B" takes w = 1/6,
+    typed: no rule of D, V, X and K picks one independent, eps-dependent
+    check, and the goldens' resummation of B was built on this one.
     """
-    if variant not in _WEIGHTS:
+    if variant == "A":
+        w = Fraction(EXCHANGE) / ADVECTION
+    elif variant == "B":
+        w = Fraction(1, 6)
+    else:
         raise ValueError("variant must be 'A' or 'B'")
-    w = _WEIGHTS[variant]
     coupling = Matrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, w, -w], [0, 0, w, -w]])
     original = build_original()
     # each row's state terms come first, then eps a' and eps b': embedding
@@ -120,15 +125,29 @@ def coordinate_map():
     """Linear map from the state (a, b, a', b') to (s1, s2, s3, s4).
 
     s1 is the mean field, s2 its spatial gradient; s3 and s4 parametrise the
-    stable and unstable directions.  Rows 3 and 4 are left eigenvectors of
-    ``build_original().linear`` and of embedding A's matrix (not of B's) for
-    the decaying and growing rates -mu and mu, each normalised so that
-    l·r = 1 for the fast right eigenvector r with unit stream difference
-    a - b = 1.
+    stable and unstable directions.  Rows 3 and 4 are the left eigenvectors
+    of ``build_original().linear`` for the decaying and growing rates -mu
+    and mu (``linalg.family_rate``), each normalised so that l·r = 1 for the
+    fast right eigenvector r with unit stream difference a - b = 1.
+    Embedding A's matrix (w = X/V) shares them, B's (w = 1/6) does not.
+    They are computed once per model; an irrational mu raises LinalgError.
     """
-    return Matrix([
-        [Fraction(1, 2), Fraction(1, 2), 0, 0],
-        [0, 0, Fraction(1, 2), Fraction(1, 2)],
-        [Fraction(3, 8), Fraction(-3, 8), Fraction(-3, 8), Fraction(9, 8)],
-        [Fraction(3, 8), Fraction(-3, 8), Fraction(9, 8), Fraction(-3, 8)],
-    ])
+    half = Fraction(1, 2)
+    return Matrix([[half, half, 0, 0], [0, 0, half, half],
+                   *_fast_rows(tuple(map(tuple, build_original().linear.rows)))])
+
+
+@lru_cache(maxsize=None)
+def _fast_rows(linear):
+    """Map rows 3-4 for the linear part given as a tuple of rows."""
+    mat, transpose = Matrix(linear), Matrix(list(zip(*linear)))
+    mu = family_rate(mat)
+    if not isinstance(mu, Fraction):
+        raise LinalgError("the coordinate map needs rational fast rates, got +-%r" % mu)
+    rows = []
+    for lam in (-mu, mu):
+        (r,), (l,) = simple_eigenvector(mat, lam), simple_eigenvector(transpose, lam)
+        # l·r = 1 once r is scaled to a - b = 1
+        scale = sum(p * q for p, q in zip(l, r)) / (r[0] - r[1])
+        rows.append(tuple(x / scale for x in l))
+    return tuple(rows)

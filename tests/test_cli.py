@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from msbc import cli, linalg, normalform, solvers
+from msbc import cli, linalg, normalform, solvers, system
 from msbc.series import Space, TruncatedSeries
 
 
@@ -133,18 +133,39 @@ def test_derive_builds_each_embedding_once(tmp_path, monkeypatch, small_scenario
 
 def test_derive_decomposes_each_matrix_once(tmp_path, monkeypatch):
     # embeddings A and B and the unembedded matrix, each once: the report
-    # prints the decomposition the parameter-1 construction already made
-    matrices = []
-    real = linalg.eigen
+    # prints the decomposition the parameter-1 construction already made,
+    # and the coordinate map makes none.  Counted where every decomposition
+    # is built, so no import of ``eigen`` by name can hide one; the three
+    # matrices' decompositions differ, so a repeat shows as a duplicate
+    built = []
+    real = linalg.Eigen.__init__
 
-    def counted(mat):
-        matrices.append(mat.rows)
-        return real(mat)
+    def counted(self, *args):
+        built.append(repr(args))
+        real(self, *args)
 
-    monkeypatch.setattr(linalg, "eigen", counted)
+    monkeypatch.setattr(linalg.Eigen, "__init__", counted)
     assert cli.main(["derive", "--order", "3", "--out", str(tmp_path / "d")]) == 0
-    assert len(matrices) == 3
-    assert all(matrices.count(m) == 1 for m in matrices)
+    assert len(built) == 3
+    assert len(set(built)) == 3
+
+
+@pytest.mark.parametrize("exchange", (F(4), F(4, 3)))
+def test_derive_runs_on_a_second_model(tmp_path, monkeypatch, exchange):
+    # the map rows and embedding A's weight follow the coefficients: rates
+    # +-5/3 (embedding B on the float lane) and +-1 (both exact)
+    monkeypatch.setattr(system, "EXCHANGE", exchange)
+    assert cli.main(["derive", "--order", "3", "--out", str(tmp_path / "d")]) == 0
+    assert "stable/unstable spatial rates are +-%s" % linalg.family_rate(
+        system.build_original().linear) in read(tmp_path / "d" / "derivation_report.txt")
+
+
+def test_derive_refuses_an_irrational_collapsed_spectrum(tmp_path, monkeypatch, capsys):
+    # exchange 1 gives the rates +-sqrt(7)/3, which the exact parameter-1
+    # view cannot hold
+    monkeypatch.setattr(system, "EXCHANGE", F(1))
+    assert cli.main(["derive", "--order", "3", "--out", str(tmp_path / "d")]) == 1
+    assert "collapsed spectrum outside the handled family" in capsys.readouterr().err
 
 
 def test_derive_rejects_low_order(tmp_path):

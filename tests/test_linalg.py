@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from msbc import system
-from msbc.linalg import (LinalgError, Matrix, eigen, nullspace,
-                         rational_roots, row_reduce, solve)
+from msbc import normalform, system
+from msbc.linalg import (LinalgError, Matrix, eigen, family_rate, nullspace,
+                         row_reduce, solve)
+from msbc.normalform import ConstructionRefused
 from msbc.series import (ReversionError, SeriesVector, Space, TruncatedSeries,
                          solve_implicit_system)
 
@@ -27,18 +29,47 @@ def test_charpoly():
     assert m.charpoly() == [F(1), F(-7, 2), F(3, 2)]
 
 
-def test_rational_roots_with_deflation():
+def test_family_rate_is_exact_for_a_rational_square():
     # x^2 (x - 2/3)(x + 2/3) = x^4 - 4/9 x^2
-    roots, rem = rational_roots([F(1), F(0), F(-4, 9), F(0), F(0)])
-    assert sorted(roots) == [F(-2, 3), F(0), F(0), F(2, 3)]
-    assert len(rem) == 1
-
-
-def test_rational_roots_irrational_remainder():
+    assert family_rate(system.build_original().linear) == F(2, 3)
     # x^2 (x^2 - 2/3): the pair +-sqrt(2/3) is not rational
-    roots, rem = rational_roots([F(1), F(0), F(-2, 3), F(0), F(0)])
-    assert roots == [F(0), F(0)]
-    assert rem == [F(1), F(0), F(-2, 3)]
+    mu = family_rate(Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [F(1, 3), F(-1, 3), 0, 0],
+                             [F(-1, 3), F(1, 3), 0, 0]]))
+    assert isinstance(mu, float) and mu == math.sqrt(2 / 3)
+
+
+_OUTSIDE_THE_FAMILY = {
+    "3x3": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+    # x^3 (x - 1): a nonzero x^3 coefficient
+    "cubic term": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    # x (x + 2)(x - 1)^2 = x^4 - 3x^2 + 2x: a nonzero x coefficient
+    "linear term": [[-2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+    # x^2 (x^2 + 1): a complex pair
+    "complex pair": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTSIDE_THE_FAMILY))
+def test_spectrum_outside_the_family_is_refused(case):
+    mat = Matrix(_OUTSIDE_THE_FAMILY[case])
+    with pytest.raises(LinalgError, match="outside the -mu, 0, 0, mu family"):
+        eigen(mat)
+    if mat.n == 4:
+        bent = system.SpatialSystem(mat, system.build_original().nonlinear)
+        with pytest.raises(ConstructionRefused,
+                           match="^spectrum outside the handled family"):
+            normalform.construct(bent, order=3)
+        with pytest.raises(ConstructionRefused,
+                           match="collapsed spectrum outside the handled family"):
+            normalform.construct_at_unity(bent, order=3)
+
+
+def test_coordinate_map_refuses_an_irrational_rate(monkeypatch):
+    # exchange 1 gives the rates +-sqrt(7)/3: a named refusal, not the
+    # TypeError of a float entry in an exact Matrix
+    monkeypatch.setattr(system, "EXCHANGE", F(1))
+    with pytest.raises(LinalgError, match="needs rational fast rates"):
+        system.coordinate_map()
 
 
 def test_nullspace():
@@ -80,16 +111,6 @@ def test_solve_inconsistent_rows_left_unsatisfied():
     assert not consistent
     assert x == [F(1), F(0)]
     assert [sum(r * v for r, v in zip(row, x)) for row in rows] == [F(1), F(2)]
-
-
-def test_eigen_generalized_step_skipped_when_inconsistent():
-    # zero of multiplicity 3 with eigenvectors e0, e1 and A e2 = e1: the
-    # Jordan step is solved for the first eigenvector e0, which is not in
-    # the range of A, so no generalised direction is reported
-    e = eigen(Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
-    assert not e.diagonalizable
-    assert e.vectors == [[[F(1), F(0), F(0)], [F(0), F(1), F(0)]]]
-    assert e.generalized == []
 
 
 def test_singular_reversion_jacobian_raises():

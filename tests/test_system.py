@@ -110,23 +110,37 @@ def test_coordinate_map_rows():
     assert cm.rows[3] == [F(3, 8), F(-3, 8), F(9, 8), F(-3, 8)]
 
 
-def test_map_rows_are_left_eigenvectors_of_embedding_a():
+def test_map_rows_are_left_eigenvectors_of_embedding_a(monkeypatch):
     # rows 3-4 are the left eigenvectors of build_original's linear part for
     # -mu and mu, each scaled so that l·r = 1 for the fast right eigenvector r
-    # with unit stream difference a - b; embedding A shares them
-    cm = system.coordinate_map()
-    linear = system.build_original().linear
-    right, left = eigen(linear), eigen(Matrix([list(col) for col in zip(*linear.rows)]))
-    mu = right.eigenvalues[-1]
-    assert right.eigenvalues == left.eigenvalues == [-mu, 0, 0, mu]
-    A = system.build_embedding("A").linear
-    for i, lam in ((2, -mu), (3, mu)):
-        (r,), = (basis for (v, _), basis in zip(right.values, right.vectors) if v == lam)
-        (l,), = (basis for (v, _), basis in zip(left.values, left.vectors) if v == lam)
-        r = [x / (r[0] - r[1]) for x in r]
-        l = [x / sum(p * q for p, q in zip(l, r)) for x in l]
-        assert cm.rows[i] == l
-        assert [sum(l[k] * A[k, j] for k in range(4)) for j in range(4)] == [lam * x for x in l]
+    # with unit stream difference a - b; embedding A (w = X/V) shares them.
+    # Checked at the reference exchange 1/2 and at 4/3 and 4
+    for exchange, rate in ((F(1, 2), F(2, 3)), (F(4, 3), F(1)), (F(4), F(5, 3))):
+        monkeypatch.setattr(system, "EXCHANGE", exchange)
+        cm = system.coordinate_map()
+        linear = system.build_original().linear
+        right, left = eigen(linear), eigen(Matrix([list(col) for col in zip(*linear.rows)]))
+        assert right.eigenvalues == left.eigenvalues == [-rate, 0, 0, rate]
+        A = system.build_embedding("A").linear
+        for i, lam in ((2, -rate), (3, rate)):
+            (r,), = (basis for (v, _), basis in zip(right.values, right.vectors) if v == lam)
+            (l,), = (basis for (v, _), basis in zip(left.values, left.vectors) if v == lam)
+            r = [x / (r[0] - r[1]) for x in r]
+            l = [x / sum(p * q for p, q in zip(l, r)) for x in l]
+            assert cm.rows[i] == l
+            assert [sum(l[k] * A[k, j] for k in range(4)) for j in range(4)] == \
+                [lam * x for x in l]
+
+
+def test_embedding_a_rates_do_not_depend_on_the_parameter(monkeypatch):
+    # with w = X/V the family's rates D^2 lambda^2 = V^2 + 4DX - 2DVw
+    # + 2D eps (Vw - X) lose their eps term, so A's series terminate
+    for exchange in (F(1, 2), F(4, 3), F(4)):
+        monkeypatch.setattr(system, "EXCHANGE", exchange)
+        emb = system.build_embedding("A")
+        N = emb.eps_linear_matrix()
+        polys = {tuple((emb.linear + N.scaled(eps)).charpoly()) for eps in (0, F(1, 3), 1)}
+        assert polys == {(1, 0, -(1 + 6 * exchange) / 9, 0, 0)}
 
 
 def test_slow_columns_of_inverse_map():
