@@ -54,7 +54,6 @@ import numpy as np
 
 from . import system
 from .boundary import BoundaryData, SolverError  # noqa: F401
-from .system import FIELD_SCALE
 
 DEFAULT_WINDOW = (5.0, 25.0)
 _END_STENCIL = (-5.0, 8.0, -3.0)   # 2 dx times the left end gradient, on C_1, C_2, C_3
@@ -551,7 +550,7 @@ def _integrate(scale, cfg: SolveConfig, rhs, jac, y0, band):
     return sol
 
 
-def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
+def _micro_system(cfg: SolveConfig):
     """Right-hand side and analytic Jacobian of the two-stream system over
     the interior unknowns interleaved as y = (a_1, b_1, a_2, b_2, ...,
     a_{n-1}, b_{n-1}).
@@ -569,9 +568,9 @@ def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
     invdx2 = 1.0 / (dx * dx)
 
     # a advects forward and b backward; row 2 + i - j holds entry (i, j)
-    adv = system.ADVECTION * inv2dx if advection else 0.0
-    dif = system.DIFFUSION * invdx2 if diffusion else 0.0
-    ex = float(system.EXCHANGE) if exchange else 0.0
+    adv = system.ADVECTION * inv2dx
+    dif = system.DIFFUSION * invdx2
+    ex = float(system.EXCHANGE)
     k = float(system.REACTION)
     band = np.zeros((5, 2 * m))
     band[0, 2::2] = dif - adv           # d(da_i)/d(a_{i+1})
@@ -594,14 +593,12 @@ def _micro_system(cfg: SolveConfig, reaction, advection, diffusion, exchange):
         dy[1] += (dif - adv) * data.b0(t)
         dy[-2] += (dif - adv) * data.aL(t)
         dy[-1] += (dif + adv) * data.bL(t)
-        if reaction:
-            dy += k * sign * y * y
+        dy += k * sign * y * y
         return dy
 
     def jac(t, y):
         J = band.copy()
-        if reaction:
-            J[2] += 2.0 * k * sign * y
+        J[2] += 2.0 * k * sign * y
         return J
 
     return rhs, jac
@@ -615,15 +612,13 @@ def _nodal(initial, n):
     return v
 
 
-def solve_microscale(cfg: SolveConfig, *, initial=None,
-                     reaction=True, advection=True, diffusion=True,
-                     exchange=True):
-    """Integrate the two-stream system; Dirichlet values imposed strongly.
+def solve_microscale(cfg: SolveConfig, *, initial=None):
+    """Integrate the two-stream system with the coefficients D, V, X and K
+    of ``msbc.system``; Dirichlet values imposed strongly.
 
     ``initial`` optionally gives (a, b) nodal arrays at t = 0 (defaults to
-    rest).  The term switches exist for verification runs: dropping the
-    reaction gives the linearised system, dropping everything but the
-    exchange gives the pointwise-conserving pair.
+    rest).  A model number set to 0 drops its term: K = 0 gives the
+    linearised system, D = V = K = 0 the pointwise-conserving pair.
     """
     grid, data = cfg.grid, cfg.data
     n = grid.n
@@ -633,17 +628,13 @@ def solve_microscale(cfg: SolveConfig, *, initial=None,
         a0v, b0v = initial
         y0[0::2] = _nodal(a0v, n)[1:n]
         y0[1::2] = _nodal(b0v, n)[1:n]
-    rhs, jac = _micro_system(cfg, reaction, advection, diffusion, exchange)
+    rhs, jac = _micro_system(cfg)
     sol = _integrate("microscale", cfg, rhs, jac, y0, (2, 2))
 
     traj = FieldTrajectory(kind="micro", grid=grid)
     for k, t in enumerate(sol.t):
-        a = np.empty(n + 1)
-        b = np.empty(n + 1)
-        a[1:n] = sol.y[0::2, k]
-        b[1:n] = sol.y[1::2, k]
-        a[0], b[0] = data.a0(t), data.b0(t)
-        a[n], b[n] = data.aL(t), data.bL(t)
+        a = np.concatenate(([data.a0(t)], sol.y[0::2, k], [data.aL(t)]))
+        b = np.concatenate(([data.b0(t)], sol.y[1::2, k], [data.bL(t)]))
         traj.states.append(MicroState(a=a, b=b, t=float(t)))
     return traj
 
@@ -659,7 +650,8 @@ def _end_gradient(c1, c2, c3, dx):
 def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     """Right-hand side, analytic Jacobian and end values of the mean model
     over the interior unknowns y = (C_1..C_{n-1}), each a pure function of
-    (t, y).
+    (t, y): C_t = D_eff (C_xx - G2(C, C_x)) with D_eff and G2 derived by
+    ``system.macro_model`` from D, V, X and K, G2 in solver units.
 
     Returns ``(rhs, jac, ends)``.  ``ends(t, y)`` gives each end value with
     its derivative in that end's gradient: the data mean under Dirichlet,
@@ -678,8 +670,8 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     xs = grid.nodes()[1:n]
     stencil = np.array(_END_STENCIL) * inv2dx   # d(left Cx)/d(C_1, C_2, C_3)
     # C_t = D_eff (Cxx - G2) = cubic C^3 + transport C Cx + D_eff Cxx
-    d_eff = float(system.EFFECTIVE_DIFFUSION)
-    g2 = system.solver_units(system.SLOW_FLOW, FIELD_SCALE)
+    d_eff, g2, _ = system.macro_model()
+    d_eff, g2 = float(d_eff), system.solver_units(g2, system.FIELD_SCALE)
     cubic, transport = -d_eff * float(g2[3, 0]), -d_eff * float(g2[1, 1])
 
     def ends(t, y):
@@ -747,7 +739,7 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
     if cfg.bc_mode == "robin-linearised":
         bc_left, bc_right = bc_left.linearized(), bc_right.linearized()
     if robin:
-        bc_left, bc_right = bc_left.rescaled(FIELD_SCALE), bc_right.rescaled(FIELD_SCALE)
+        bc_left, bc_right = (bc.rescaled(system.FIELD_SCALE) for bc in (bc_left, bc_right))
     rhs, jac, ends = _macro_system(cfg, bc_left, bc_right, source)
 
     y0 = np.zeros(n - 1) if initial is None else _nodal(initial, n)[1:n]
@@ -775,7 +767,7 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
 
 def reconstruct_micro(state: MacroState, grid: Grid1D):
     """Predicted stream temperatures from the mean field: the mean plus and
-    minus the shear, the derived slow manifold ``system.SHEAR`` in solver
+    minus the shear, the slow manifold of ``system.macro_model`` in solver
     units."""
     C = state.C
     dx = grid.dx
@@ -783,7 +775,7 @@ def reconstruct_micro(state: MacroState, grid: Grid1D):
     Cx[1:-1] = (C[2:] - C[:-2]) / (2.0 * dx)
     Cx[0] = (-3.0 * C[0] + 4.0 * C[1] - C[2]) / (2.0 * dx)
     Cx[-1] = (3.0 * C[-1] - 4.0 * C[-2] + C[-3]) / (2.0 * dx)
-    h = system.solver_units(system.SHEAR, FIELD_SCALE)
+    h = system.solver_units(system.macro_model()[2], system.FIELD_SCALE)
     shear = float(h[2, 0]) * C * C + float(h[0, 1]) * Cx
     return MicroState(a=C + shear, b=C - shear, t=state.t)
 

@@ -1,5 +1,6 @@
 """The two-stream model, described once, and the first-order spatial form
-of its steady equations.
+of its steady equations.  D, V, X, K and ``FIELD_SCALE`` are typed; the
+macroscale model's D_eff, G2 and shear are derived from them.
 
 With the time derivative treated as negligible, the two-field steady problem
 becomes a four-state system in the position variable: state (a, b, a', b').
@@ -26,15 +27,27 @@ DIFFUSION, ADVECTION, EXCHANGE, REACTION = 3, 1, Fraction(1, 2), Fraction(1, 2)
 # makes the quadratic coefficient of the steady rows over D, K FIELD_SCALE/D,
 # 1/2.  ``solver_units`` carries results across.
 FIELD_SCALE = 3
-# The macroscale model in solver units, C_t = D_eff (C_xx - G2(C, C_x)).  The
-# effective diffusivity D_eff comes from the time-dependent problem, which
-# the steady derivation does not see.
-EFFECTIVE_DIFFUSION = 4
-# G2 = ds2/dx and the shear a - s1 at s3 = s4 = 0 as ``construct_at_unity``
-# derives them, {(i, j): c} for c s1^i s2^j in the derivation's variables,
-# truncated at weighted degree 3 and 2 (s2 counting 2).
-SLOW_FLOW = {(1, 1): Fraction(3, 2), (3, 0): Fraction(-9, 8)}
-SHEAR = {(0, 1): Fraction(-1), (2, 0): Fraction(3, 2)}
+
+
+def _steady_rates():
+    """X/D, V/D and K FIELD_SCALE/D: the steady rows' coefficients over D."""
+    return tuple(Fraction(c, DIFFUSION) for c in (EXCHANGE, ADVECTION, REACTION * FIELD_SCALE))
+
+
+def macro_model():
+    """The macroscale model C_t = D_eff (C_xx - G2(C, C_x)) as the exact
+    (D_eff, G2, shear): G2 = ds2/dx and the shear a - s1 at s3 = s4 = 0 as
+    {(i, j): c} for c s1^i s2^j in the derivation's variables.  D_eff =
+    D + V^2/(2X) is the slow rate of the linear time-dependent pair.  With
+    x, v, k of ``_steady_rates`` and s, d = (a + b)/2, (a - b)/2 the steady
+    rows read s'' = v d' - 2k s d and d'' = 2x d + v s' - k (s^2 + d^2), so
+    the shear's leading slow manifold is d = alpha s2 + beta s1^2, and s''
+    gives G2, exact at weighted degree 3 (s2 counting 2)."""
+    x, v, k = _steady_rates()
+    alpha, beta = -v / (2 * x), k / (2 * x)
+    slow = 1 - v * alpha
+    g2 = {(1, 1): (2 * v * beta - 2 * k * alpha) / slow, (3, 0): -2 * k * beta / slow}
+    return DIFFUSION + Fraction(ADVECTION) ** 2 / (2 * EXCHANGE), g2, {(0, 1): alpha, (2, 0): beta}
 
 
 def solver_units(poly, k):
@@ -44,13 +57,6 @@ def solver_units(poly, k):
     and the shear in (s1, s2) -> (C, C_x) and for a Robin relation in
     (C_x, data pair)."""
     return {e: c * Fraction(k) ** (1 - sum(e)) for e, c in poly.items()}
-
-
-STATE_VARS = ("a", "b", "ap", "bp", "eps")
-
-
-def state_space(order=2, grading_order=1):
-    return Space(STATE_VARS, order, grading="eps", grading_order=grading_order)
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,8 @@ def build_original():
     """The unembedded spatial system: the steady microscale rows divided by
     the diffusion, in the derivation's variables (the solver fields over
     ``FIELD_SCALE``)."""
-    sp = state_space()
-    x, v, k = (Fraction(c, DIFFUSION) for c in (EXCHANGE, ADVECTION, REACTION * FIELD_SCALE))
+    sp = Space(("a", "b", "ap", "bp", "eps"), 2, grading="eps", grading_order=1)
+    x, v, k = _steady_rates()
     linear = Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [x, -x, v, 0], [-x, x, 0, -v]])
     zero = TruncatedSeries.zero(sp)
     nonlinear = SeriesVector([zero, zero, TruncatedSeries(sp, {(2, 0, 0, 0, 0): -k}),

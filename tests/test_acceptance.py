@@ -138,10 +138,10 @@ def test_criterion_5_figure_comparison():
         % (ratio, FROZEN_RATIO_BOUND, elapsed))
 
 
-def test_criterion_6_solver_verification():
+def test_criterion_6_solver_verification(monkeypatch):
     test_solvers.test_micro_self_convergence_order()
     test_solvers.test_macro_manufactured_solution_order()
-    test_solvers.test_linearised_steady_state_matches_direct_solve()
+    test_solvers.test_linearised_steady_state_matches_direct_solve(monkeypatch)
     _ok(6, "both solvers converge at order >= 1.9 and the linearised steady "
         "state matches the direct boundary-value solve to 1e-6")
 

@@ -160,6 +160,21 @@ def test_derive_runs_on_a_second_model(tmp_path, monkeypatch, exchange):
         system.build_original().linear) in read(tmp_path / "d" / "derivation_report.txt")
 
 
+def test_compare_on_a_second_model_keeps_the_derived_closure_ahead(tmp_path, monkeypatch):
+    # at exchange 4 the macro model must be the one the Robin pair was
+    # derived for: with the reference model's D_eff, G2 and shear the ratio
+    # reads 1.85, with the derived ones 0.0196
+    monkeypatch.setattr(system, "EXCHANGE", F(4))
+    scen = tmp_path / "exchange4.cfg"
+    scen.write_text("[scenario]\nn = 120\nt_end = 21\n\n"
+                    "[boundary]\na0 = 0.2 * tanhsq\nbL = 0.2 * tanhsq\n")
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--scenario", str(scen), "--out", str(out)]) == 0
+    ratios = [float(m.group(1)) for m in re.finditer(
+        r"ratio robin/dirichlet\s+([\d.e+-]+)", read(out / "exchange4_comparison.txt"))]
+    assert len(ratios) == 1 and ratios[0] < 0.5
+
+
 def test_derive_refuses_an_irrational_collapsed_spectrum(tmp_path, monkeypatch, capsys):
     # exchange 1 gives the rates +-sqrt(7)/3, which the exact parameter-1
     # view cannot hold

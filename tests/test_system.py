@@ -143,6 +143,25 @@ def test_embedding_a_rates_do_not_depend_on_the_parameter(monkeypatch):
         assert polys == {(1, 0, -(1 + 6 * exchange) / 9, 0, 0)}
 
 
+def test_effective_diffusion_is_the_slow_rate_of_the_linear_pair(monkeypatch):
+    # a mode exp(i k x) of the linear microscale pair grows at the
+    # eigenvalues of its symbol, the slow one
+    # sigma(k) = -D k^2 - X + sqrt(X^2 - V^2 k^2); -sigma(k)/k^2 tends to
+    # D_eff as k -> 0, with an O(k^2) remainder
+    D, V = system.DIFFUSION, system.ADVECTION
+    for exchange in (F(1, 2), F(4, 3), F(4)):
+        monkeypatch.setattr(system, "EXCHANGE", exchange)
+        X, d_eff = float(exchange), float(system.macro_model()[0])
+        for k in (1e-2, 1e-3):
+            symbol = np.array([[-D * k * k - 1j * V * k - X, X],
+                               [X, -D * k * k + 1j * V * k - X]])
+            sigma = max(np.linalg.eigvals(symbol), key=lambda z: z.real)
+            assert sigma.real == pytest.approx(
+                -D * k * k - X + np.sqrt(X * X - V * V * k * k), rel=1e-8)
+            assert abs(sigma.imag) < 1e-12
+            assert -sigma.real / (k * k) == pytest.approx(d_eff, rel=k * k)
+
+
 def test_slow_columns_of_inverse_map():
     # the slow directions of the inverse match the transform's slow columns
     inv = system.coordinate_map().inverse()
