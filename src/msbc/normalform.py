@@ -31,7 +31,14 @@ the separated sector, in ``cross_validate_embeddings``: embedding A's
 parameter series terminate and sum exactly onto it, and embedding B's,
 which do not, are resummed by Wynn's epsilon-algorithm on their partial
 sums to the cap, with the change over the last few parameter degrees as
-the estimate of what the cap leaves out.
+the estimate of what the cap leaves out.  There B's graded view comes from
+``construct_dense``: the same construction in floats, one state degree at
+a time, with every coefficient held on a dense parameter axis, so products
+of lower degrees are truncated convolutions and the same-degree couplings
+a recurrence in the parameter degree.  Its sums run in one fixed order on
+elementwise operations only (no matrix product, no pairwise reduction):
+the report prints B's float discrepancy and tail, and those digits must
+not depend on the CPU that computes them.
 
 Both views run on one construction kernel.  ``_homological_residual``
 assembles each degree's residual from the slices below it (the parameter
@@ -59,6 +66,7 @@ frozen again after the write; the packing the residual read is dropped.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -521,6 +529,193 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
     return transform, evolution, report
 
 
+# ---------------------------------------------------------------------------
+# the graded view on a dense parameter axis (float)
+#
+# A state degree s holds T and G as float arrays of shape (M_s * 4, K + 1):
+# row m * 4 + c is component c of the m-th monomial of ``_monomials(s)``,
+# column e the parameter degree.  A bilinear term is a list of pairs
+# (rx, ry, ro, w): it adds w·X[rx, a]·Y[ry, b] into R[ro, a + b].
+#
+# The float sums must not depend on the CPU, so only elementwise ufuncs,
+# ``np.add.at`` and ``cumsum`` touch them, in one fixed order: the weight
+# multiplies X first; a full convolution sums over a in increasing order;
+# ``np.add.at`` adds the pairs of one term in list order.  Each residual
+# entry R(s, e) receives, in this order: the quadratic products
+# T(sa)·T(s - sa) for sa = 1..s-1, the products DT(sa)·G(s + 1 - sa) for
+# sa = 2..s-1, then, as the recurrence in e solves the columns e' < e in
+# increasing order, each column's N shift, DT(s, e')·G(1, ·) and
+# DT(1, ·)·G(s, e').  No matrix product or pairwise sum is used.
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(s):
+    """The degree-s state monomials in lexicographic order, and their index."""
+    mons = [m for m in itertools.product(range(s + 1), repeat=4) if sum(m) == s]
+    return mons, {m: i for i, m in enumerate(mons)}
+
+
+def _pairs(terms):
+    rx, ry, ro, w = zip(*terms) if terms else ((), (), (), ())
+    return (np.array(rx, dtype=np.intp), np.array(ry, dtype=np.intp),
+            np.array(ro, dtype=np.intp), np.array(w, dtype=float))
+
+
+def _quad_pairs(quad, sa, sb):
+    """The products coef·T_i(sa)·T_j(sb) of each quadratic term (i, j, coef)
+    of component c."""
+    (A, _), (B, _), (_, out) = _monomials(sa), _monomials(sb), _monomials(sa + sb)
+    return _pairs([(ia * 4 + i, ib * 4 + j,
+                    out[tuple(x + y for x, y in zip(ma, mb))] * 4 + c, coef)
+                   for c in range(4) for i, j, coef in quad[c]
+                   for ia, ma in enumerate(A) for ib, mb in enumerate(B)])
+
+
+@functools.lru_cache(maxsize=None)
+def _lie_pairs(sa, sb):
+    """The products -DT(sa)·G(sb): d/ds_j of T_c's monomial times G_j's."""
+    (A, _), (B, _), (_, out) = _monomials(sa), _monomials(sb), _monomials(sa + sb - 1)
+    terms = []
+    for ia, ma in enumerate(A):
+        for j in range(4):
+            if ma[j]:
+                for ib, mb in enumerate(B):
+                    io = out[tuple(x + y - (k == j) for k, (x, y) in enumerate(zip(ma, mb)))]
+                    terms.extend((ia * 4 + c, ib * 4 + j, io * 4 + c, -ma[j])
+                                 for c in range(4))
+    return _pairs(terms)
+
+
+def _live(pairs, X=None, Y=None):
+    """The pairs whose rows of X and of Y (those given) are not identically
+    zero: the others add only zeros."""
+    rx, ry, ro, w = pairs
+    keep = np.ones(len(rx), dtype=bool)
+    if X is not None:
+        keep &= X[rx].any(axis=1)
+    if Y is not None:
+        keep &= Y[ry].any(axis=1)
+    return rx[keep], ry[keep], ro[keep], w[keep]
+
+
+def _convolve_into(R, pairs, X, Y):
+    """R[ro, a + b] += w·X[rx, a]·Y[ry, b] over every a + b within the cap."""
+    rx, ry, ro, w = _live(pairs, X, Y)
+    x, y = w[:, None] * X[rx], Y[ry]
+    z = np.zeros(x.shape)
+    n = x.shape[1]
+    for a in range(n):
+        z[:, a:] += x[:, a:a + 1] * y[:, :n - a]
+    np.add.at(R, ro, z)
+
+
+def _push_into(R, pairs, X, xcols, Y, ycols, e):
+    """R[ro, e + k] += w·X[rx, xcols][k]·Y[ry, ycols][k] for k = 1, 2, ...:
+    a slice of a same-degree coupling, one of the two column slices a
+    single column."""
+    rx, ry, ro, w = pairs
+    block = (w[:, None] * X[rx, xcols]) * Y[ry, ycols]
+    np.add.at(R, (ro[:, None], np.arange(e + 1, e + 1 + block.shape[1])), block)
+
+
+def _times(mat, v):
+    """v·mat^T for rows v (M, 4): out[:, i] = sum over c of mat[i, c]·v[:, c],
+    summed in increasing c."""
+    out = v[:, :1] * mat[:, 0]
+    for c in range(1, 4):
+        out = out + v[:, c:c + 1] * mat[:, c]
+    return out
+
+
+def construct_dense(system: SpatialSystem, order=3, eps_order=None):
+    """Graded view of an embedding in floats on a dense parameter axis:
+    ``(T, G)``, each ``{s: array (M_s, 4, K + 1)}`` over the monomials of
+    ``_monomials(s)``, components and parameter degrees 0..K.
+
+    The same coefficients as ``construct`` (which builds them exactly, or in
+    floats term by term), built state degree by state degree.  Products of
+    lower state degrees are truncated convolutions along the parameter axis;
+    the same-degree couplings, N·T(s, e-1), DT(s)·G(1, >= 1) and
+    DT(1, >= 1)·G(s), run as a recurrence in e (at s = 1 the last two are
+    one term, DT(1, >= 1)·G(1, >= 1)).  Each (s, e) column is solved, pinned
+    and lifted as ``construct`` does it, on the frame of ``_frame``.  The
+    accumulation order is fixed (see the section comment), so the floats do
+    not depend on the CPU.
+    """
+    check_order(order)
+    K = DEFAULT_EPS_ORDER if eps_order is None else eps_order
+    _, mu, t1, t1inv, rows, alpha, beta, quad, N = _frame(system, collapsed=False)
+    row3 = [float(sum(rows[2][c] * t1[c][j] for c in range(4))) for j in range(4)]
+    row4 = [float(sum(rows[3][c] * t1[c][j] for c in range(4))) for j in range(4)]
+    alpha, beta = [float(x) for x in alpha], [float(x) for x in beta]
+    t1, t1inv = np.array(t1, dtype=float), np.array(t1inv, dtype=float)
+    quad = [[(i, j, float(coef)) for i, j, coef in q] for q in quad]
+    mu = float(mu)
+    lam = [n * mu for n in _EIGEN_PATTERN]
+
+    T, G = {}, {}
+    for s in range(1, order + 1):
+        mons = _monomials(s)[0]
+        M = len(mons)
+        T[s] = Ts = np.zeros((M * 4, K + 1))
+        G[s] = Gs = np.zeros((M * 4, K + 1))
+        R = np.zeros((M * 4, K + 1))
+        for sa in range(1, s):
+            _convolve_into(R, _quad_pairs(quad, sa, s - sa), T[sa], T[s - sa])
+        for sa in range(2, s):
+            _convolve_into(R, _lie_pairs(sa, s + 1 - sa), T[sa], G[s + 1 - sa])
+        nrx, _, nro, nw = _pairs([(m * 4 + k, 0, m * 4 + c, N[c][k]) for m in range(M)
+                                  for c in range(4) for k in range(4) if N[c][k] != 0])
+        lie_s1, lie_1s = _lie_pairs(s, 1), _lie_pairs(1, s)
+        if s > 1:
+            # T(1) and G(1) are final: drop the pairs their zero rows kill
+            lie_s1, lie_1s = _live(lie_s1, Y=G[1][:, 1:]), _live(lie_1s, X=T[1][:, 1:])
+
+        # per monomial: the divisors k·mu, the kept (resonant) slots and the
+        # pinning classes, as in ``construct``
+        kint = np.array([[(m[3] - m[2]) - p for p in _EIGEN_PATTERN] for m in mons])
+        kept = kint == 0
+        div = np.where(kept, 1.0, kint * mu)
+        slow = np.array([m[2] == 0 and m[3] == 0 for m in mons])
+        stable = np.array([m[2] - m[3] == 1 for m in mons])
+        unstable = np.array([m[3] - m[2] == 1 for m in mons])
+
+        for e in range(K + 1):
+            if s == 1 and e == 0:
+                for j in range(4):
+                    m = _monomials(1)[1][tuple(int(k == j) for k in range(4))]
+                    Ts[m * 4:m * 4 + 4, 0] = t1[:, j]
+                    Gs[m * 4 + j, 0] = lam[j]
+            else:
+                nc = _times(t1inv, R[:, e].reshape(M, 4))
+                psi = np.where(kept, 0.0, nc / div)
+                g = np.where(kept, nc, 0.0)
+                p2, p3 = psi[slow, 2], psi[slow, 3]
+                psi[slow, 0] = -(alpha[2] * p2 + alpha[3] * p3) / 2
+                psi[slow, 1] = -(beta[2] * p2 + beta[3] * p3) / 2
+                p = psi[stable]
+                psi[stable, 2] = -(row3[0] * p[:, 0] + row3[1] * p[:, 1] + row3[3] * p[:, 3])
+                p = psi[unstable]
+                psi[unstable, 3] = -(row4[0] * p[:, 0] + row4[1] * p[:, 1] + row4[2] * p[:, 2])
+                Ts[:, e] = _times(t1, psi).ravel()
+                Gs[:, e] = g.ravel()
+            if e == K:
+                break
+            np.add.at(R[:, e + 1], nro, nw * Ts[nrx, e])
+            col = slice(e, e + 1)
+            if s > 1:
+                rest = slice(1, K - e + 1)
+                _push_into(R, lie_s1, Ts, col, G[1], rest, e)
+                _push_into(R, lie_1s, T[1], rest, Gs, col, e)
+            elif e >= 1:
+                # DT(1, a)·G(1, b) over a, b >= 1, each pair once, when its
+                # later column e is solved: b = 1..e, then a = 1..e-1
+                _push_into(R, lie_s1, Ts, col, Gs, slice(1, min(e, K - e) + 1), e)
+                _push_into(R, lie_s1, Ts, slice(1, min(e - 1, K - e) + 1), Gs, col, e)
+    return ({s: a.reshape(-1, 4, K + 1) for s, a in T.items()},
+            {s: a.reshape(-1, 4, K + 1) for s, a in G.items()})
+
+
 class UnityNormalForm(tuple):
     """The 4-tuple ``(T, G, leftovers, retained)`` that ``construct_at_unity``
     returns; ``eigen`` is the decomposition of the unembedded matrix it was
@@ -793,16 +988,6 @@ def _separated_sector(series):
     return out
 
 
-def _separated_partial_sums(series, eps_order):
-    """Per separated-sector state monomial, its partial sums over the
-    parameter degrees 0..eps_order."""
-    coefs = {}
-    for e, c in series.terms.items():
-        if min(e[2], e[3]) == 0:
-            coefs.setdefault(e[:4], [0.0] * (eps_order + 1))[e[4]] = c
-    return {m: list(itertools.accumulate(cs)) for m, cs in coefs.items()}
-
-
 def wynn_epsilon(sums):
     """Wynn's epsilon-algorithm on the last ``WYNN_WIDTH`` partial sums.
 
@@ -862,34 +1047,42 @@ def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
     ``transform`` and ``evolution`` are the caller's graded construction of
     embedding A; ``direct`` is the (transform, evolution) pair that
     ``construct_at_unity`` built at the same order.  Only embedding B's
-    graded view is built here, at A's ``order`` and ``eps_order`` (K).
+    graded view is built here, at A's ``order`` and ``eps_order`` (K), by
+    ``construct_dense``: in floats on a dense parameter axis, always, so
+    that B costs a few convolutions instead of a term-by-term build.  Its
+    accumulation order is fixed and uses no matrix product or pairwise sum,
+    so the report's float lines are the same on every CPU.
 
     A's parameter series terminate (at degree 10 at order 3), so A is
     resummed exactly by ``TruncatedSeries.grading_at_one``: each state
     monomial's coefficients are summed over the parameter powers in stored
     term order, and sums that cancel to zero are dropped.  B's series do
     not terminate; each separated-sector monomial of B is resummed by
-    ``wynn_epsilon`` on its partial sums over parameter degree 0..K.  The
-    separated sectors are compared coefficientwise with each other and A
-    with the parameter-1 pair.  The tail estimate reads B's convergence
-    from the same build: the largest change of B's Wynn value between the
-    partial sums to K and to K - ``TAIL_STEP``.
+    ``wynn_epsilon`` on its partial sums over parameter degree 0..K (a
+    ``cumsum`` along its row).  The separated sectors are compared
+    coefficientwise with each other and A with the parameter-1 pair.  The
+    tail estimate reads B's convergence from the same build: the largest
+    change of B's Wynn value between the partial sums to K and to
+    K - ``TAIL_STEP``.
     """
     from .system import build_embedding
 
     order, eps_order = transform.order, transform.eps_order
-    tB, gB, _ = construct(build_embedding("B"), order=order, eps_order=eps_order)
+    dense = construct_dense(build_embedding("B"), order=order, eps_order=eps_order)
     worst = 0.0
     gap = 0.0
     tail = 0.0 if eps_order >= TAIL_STEP else math.inf
-    for a, b, unit in zip((transform, evolution), (tB, gB), direct):
-        for ca, cb, cu in zip(a.series, b.series, unit):
+    for a, b, unit in zip((transform, evolution), dense, direct):
+        for c, (ca, cu) in enumerate(zip(a.series, unit)):
             da = _separated_sector(ca.grading_at_one())
-            sums = _separated_partial_sums(cb, eps_order)
-            db = {m: wynn_epsilon(s) for m, s in sums.items()}
-            if eps_order >= TAIL_STEP:
-                for m, s in sums.items():
-                    tail = max(tail, abs(db[m] - wynn_epsilon(s[:-TAIL_STEP])))
+            db = {}
+            for s, coefs in b.items():
+                mons = _monomials(s)[0]
+                for m, row in zip(mons, np.cumsum(coefs[:, c, :], axis=1).tolist()):
+                    if min(m[2], m[3]) == 0:
+                        db[m] = wynn_epsilon(row)
+                        if eps_order >= TAIL_STEP:
+                            tail = max(tail, abs(db[m] - wynn_epsilon(row[:-TAIL_STEP])))
             for key in set(da) | set(db):
                 worst = max(worst, abs(float(da.get(key, 0)) - float(db.get(key, 0))))
             du = _separated_sector(cu)

@@ -109,8 +109,9 @@ def test_derive_is_deterministic(derive_out, tmp_path):
 
 
 def test_derive_builds_each_embedding_once(tmp_path, monkeypatch, small_scenario):
-    # the system label of every graded and every parameter-1 construction
-    calls = {"construct": [], "construct_at_unity": []}
+    # the system label of every graded (exact A, dense B) and every
+    # parameter-1 construction
+    calls = {"construct": [], "construct_dense": [], "construct_at_unity": []}
     for name, labels in calls.items():
         def counted(system, *args, _real=getattr(normalform, name), _labels=labels,
                     **kwargs):
@@ -122,13 +123,13 @@ def test_derive_builds_each_embedding_once(tmp_path, monkeypatch, small_scenario
         for labels in calls.values():
             labels.clear()
         assert cli.main(list(argv) + ["--out", str(tmp_path / argv[0])]) == 0
-        return sorted(calls["construct"]), calls["construct_at_unity"]
+        return calls["construct"], calls["construct_dense"], calls["construct_at_unity"]
 
-    built = (["embedding-A", "embedding-B"], ["original"])
+    built = (["embedding-A"], ["embedding-B"], ["original"])
     assert run("derive", "--order", "3") == built
     assert run("compare", "--scenario", small_scenario) == built
     assert run("simulate", "--scenario", small_scenario,
-               "--mode", "macro-robin") == ([], ["original"])
+               "--mode", "macro-robin") == ([], [], ["original"])
 
 
 def test_derive_decomposes_each_matrix_once(tmp_path, monkeypatch):
@@ -342,14 +343,16 @@ def test_derive_fails_when_the_resummation_tail_exceeds_the_tolerance(tmp_path, 
     assert float(tail) > 1e-12
 
 
-def test_compare_names_the_resummation_tail(tmp_path, monkeypatch, capsys, small_scenario):
-    # at order 3 the discrepancy reads 7.1e-14 and the tail 9.0e-14: a
+def test_compare_names_the_resummation_tail(tmp_path, monkeypatch, capsys):
+    # at order 2 the discrepancy reads 3.6e-15 and the tail 9.0e-14: a
     # tolerance between them fails the check on the tail alone, and compare
     # must say so in its report and its exit message, as derive does
-    monkeypatch.setenv("MSBC_SEED_TOLERANCE", "8e-14")
+    monkeypatch.setenv("MSBC_SEED_TOLERANCE", "1e-14")
+    scenario = tmp_path / "small.cfg"
+    scenario.write_text(SMALL_SCENARIO.replace("order = 3", "order = 2"))
     out = tmp_path / "cmp"
-    assert cli.main(["compare", "--scenario", small_scenario, "--out", str(out)]) == 2
-    figures = r"discrepancy 7\.105e-14, resummation tail estimate 9\.037e-14"
+    assert cli.main(["compare", "--scenario", str(scenario), "--out", str(out)]) == 2
+    figures = r"discrepancy 3\.553e-15, resummation tail estimate 9\.037e-14"
     assert re.search(r"embedding cross-check FAIL \(%s\)" % figures,
                      read(out / "small_comparison.txt"))
     assert re.search(r"numerical failure: embedding cross-validation failed: %s" % figures,

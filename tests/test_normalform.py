@@ -329,7 +329,53 @@ def test_cross_validation_identity_and_orders(constructed, at_unity):
     # the default cap keeps B's resummation tail a tenth of the tolerance
     assert lower.tail_estimate <= 1e-13
     assert cc.tail_estimate <= 1e-13
-    assert "%.6e" % lower.max_discrepancy == "2.664535e-15"
+    assert "%.6e" % lower.max_discrepancy == "3.552714e-15"
+
+
+def _against_graded(dense, graded):
+    """The dense arrays against every coefficient of a graded pair: the
+    largest |dense - c| over 1e-13·max(1, |c|) plus one unit in the last
+    place of the pair's largest coefficient, and the largest |dense| where
+    the pair holds no term."""
+    largest = max(abs(float(v)) for half in graded for comp in half.series
+                  for v in comp.terms.values())
+    worst, absent = 0.0, 0.0
+    for arrays, half in zip(dense, graded):
+        for c, comp in enumerate(half.series):
+            for s, coefs in arrays.items():
+                index = normalform._monomials(s)[1]
+                held = np.zeros((coefs.shape[0], coefs.shape[2]), dtype=bool)
+                for e, v in comp.terms.items():
+                    if sum(e[:4]) == s:
+                        m = index[e[:4]]
+                        held[m, e[4]] = True
+                        err = abs(coefs[m, c, e[4]] - float(v))
+                        worst = max(worst, err / (1e-13 * max(1, abs(float(v)))
+                                                  + np.spacing(largest)))
+                absent = max(absent, np.abs(coefs[:, c, :][~held]).max(initial=0.0))
+    return worst, absent
+
+
+@pytest.mark.parametrize("order,eps_order", ((2, 36), (3, 8), (3, 36), (4, 10)))
+def test_dense_b_matches_the_term_by_term_build(order, eps_order):
+    emb = system.build_embedding("B")
+    dense = normalform.construct_dense(emb, order=order, eps_order=eps_order)
+    transform, evolution, _ = normalform.construct(emb, order=order, eps_order=eps_order)
+    assert [sorted(half) for half in dense] == [list(range(1, order + 1))] * 2
+    worst, absent = _against_graded(dense, (transform, evolution))
+    assert worst <= 1
+    # terms the term-by-term build cancels to exact zero: the mirrored
+    # a <-> b sums that cancel there keep a few units in the last place here
+    assert absent <= 2e-15
+
+
+def test_dense_a_matches_the_exact_build(constructed):
+    transform, evolution, _ = constructed
+    dense = normalform.construct_dense(system.build_embedding("A"), order=3)
+    assert dense[0][3].shape == (20, 4, normalform.DEFAULT_EPS_ORDER + 1)
+    worst, absent = _against_graded(dense, (transform, evolution))
+    assert worst <= 1
+    assert absent <= 1e-13
 
 
 @pytest.mark.parametrize("ratio", (0.5, -0.7, 0.38, 0.9))
@@ -361,19 +407,19 @@ def test_wynn_shifts_with_a_constant_added_to_every_sum():
 @pytest.mark.parametrize("edeg", (0, 1, 2))
 def test_resummation_cannot_hide_a_shifted_coefficient_of_b(constructed, at_unity,
                                                              monkeypatch, edeg):
-    real = normalform.construct
+    real = normalform.construct_dense
 
     def shifted(*args, **kwargs):
-        transform, evolution, report = real(*args, **kwargs)
-        comps = list(transform.series)
-        terms = dict(comps[0].terms)
-        key = next(e for e in terms if e[4] == edeg and min(e[2], e[3]) == 0)
-        terms[key] += 1e-9
-        comps[0] = TruncatedSeries(comps[0].space, terms)
-        return (normalform.GradedSeries(SeriesVector(comps), transform.order,
-                                        transform.eps_order), evolution, report)
+        T, G = real(*args, **kwargs)
+        # the first separated monomial of the first component with a
+        # coefficient at parameter degree ``edeg``
+        s, m = next((s, m) for s in sorted(T)
+                    for m, mono in enumerate(normalform._monomials(s)[0])
+                    if min(mono[2], mono[3]) == 0 and T[s][m, 0, edeg] != 0)
+        T[s][m, 0, edeg] += 1e-9
+        return T, G
 
-    monkeypatch.setattr(normalform, "construct", shifted)
+    monkeypatch.setattr(normalform, "construct_dense", shifted)
     transform, evolution, _ = constructed
     cc = normalform.cross_validate_embeddings(transform, evolution, at_unity[:2])
     assert not cc.identical
