@@ -308,24 +308,20 @@ def cmd_derive(order, out_dir, eps_order=None):
 
     _write(os.path.join(out_dir, "derivation_report.txt"),
            derivation_report(deriv, report, cross))
-    labels = ("a", "b", "ap", "bp")
-    blocks = []
-    for label, comp in zip(labels, deriv.transform):
-        blocks.append("component %s" % label)
-        blocks.extend(comp.to_lines())
-    _write(os.path.join(out_dir, "transform_eps1.txt"), "\n".join(blocks) + "\n")
-    blocks = []
-    for j, comp in enumerate(deriv.evolution):
-        blocks.append("component ds%d/dx" % (j + 1))
-        blocks.extend(comp.to_lines())
-    _write(os.path.join(out_dir, "evolution_eps1.txt"), "\n".join(blocks) + "\n")
     _write(os.path.join(out_dir, "resonance_table.txt"), report.to_text())
-    blocks = ["a0"] + deriv.constraint.a0_series.to_lines() \
-        + ["b0"] + deriv.constraint.b0_series.to_lines()
-    _write(os.path.join(out_dir, "boundary_constraint.txt"), "\n".join(blocks) + "\n")
-    blocks = ["s1_0"] + deriv.reverted.s1_series.to_lines() \
-        + ["s3_0"] + deriv.reverted.s3_series.to_lines()
-    _write(os.path.join(out_dir, "reverted_boundary.txt"), "\n".join(blocks) + "\n")
+    con, rev = deriv.constraint, deriv.reverted
+    series_files = {
+        "transform_eps1.txt": [("component " + label, comp) for label, comp
+                               in zip(("a", "b", "ap", "bp"), deriv.transform)],
+        "evolution_eps1.txt": [("component ds%d/dx" % (j + 1), comp)
+                               for j, comp in enumerate(deriv.evolution)],
+        "boundary_constraint.txt": [("a0", con.a0_series), ("b0", con.b0_series)],
+        "reverted_boundary.txt": [("s1_0", rev.s1_series), ("s3_0", rev.s3_series)],
+    }
+    for name, blocks in series_files.items():
+        # one block per series: its label line, then its terms
+        lines = [line for label, series in blocks for line in (label, *series.to_lines())]
+        _write(os.path.join(out_dir, name), "\n".join(lines) + "\n")
     _write(os.path.join(out_dir, "robin_bc.txt"),
            deriv.bc_left.serialize() + "\n" + deriv.bc_right.serialize() + "\n"
            + "linearised " + deriv.bc_left.linearized().serialize() + "\n")

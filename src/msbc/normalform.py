@@ -11,11 +11,12 @@ zero-eigenvalue variable with its own cap.  Residual monomials with nonzero
 divisor m·lambda - lambda_j (an exact integer-multiple test, valid even when
 mu is irrational) are removed into T; zero-divisor monomials stay in G and
 are recorded in the resonance report.  Resonant transform coefficients are
-fixed minimally: slow monomials of the two slow components are pinned so the
-slow manifold keeps the mean field and its gradient as parameters, and all
-other kernel coefficients are zero.  With this normalisation the resonant
-sector mixing both fast variables retains formal cross terms; they are
-surfaced in the report, and their parameter series do not resum.
+fixed by one normalisation: each separated coordinate is exactly what its
+coordinate-map row reads off the transform (so the slow manifold keeps the
+mean field and its gradient as parameters), and all other kernel
+coefficients are zero.  With this normalisation the resonant sector mixing
+both fast variables retains formal cross terms; they are surfaced in the
+report, and their parameter series do not resum.
 
 The parameter-1 view resolves that sector.  At parameter value 1 every
 embedding collapses to the same unembedded system, whose zero eigenvalue is
@@ -45,13 +46,13 @@ assembles each degree's residual from the slices below it (the parameter
 shift only in the graded view), and ``_in_normal_coords`` projects it onto
 the separated coordinates.  The parameter-1 view's knob influence is the same
 residual of the unit kernel slot alone (the residual is linear in the slice
-one degree down).  ``_pin_slow`` holds the slow-manifold parametrisation,
-``_lift`` maps solved coefficients back to the state and ``_assemble`` turns
-the slices into series.  Both views take their linear set-up from
-``_frame``: one ``linalg.eigen`` call, the map-aligned columns and their
-inverse, the pinning rows and the split perturbation, on the one lane it
-picks (exact, or float for an irrational spectrum).  The parameter-1 view
-solves its coupled kernel slots with ``linalg.solve``.
+one degree down).  ``_pinned`` and ``_pin`` hold the normalisation for all
+three constructions, ``_lift`` maps solved coefficients back to the state
+and ``_assemble`` turns the slices into series.  All three take their
+linear set-up from ``_frame``: one ``linalg.eigen`` call, the map-aligned
+columns, their inverse and map-row content, and the split perturbation, on
+the one lane it picks (exact, or float for an irrational spectrum).  The
+parameter-1 view solves its coupled kernel slots with ``linalg.solve``.
 
 A slice (one component's terms of one degree) is a dict while a step still
 writes it, and is frozen once it is finished: packed into a list of
@@ -159,7 +160,6 @@ def _mul_slice(p1, p2, order, eps_order, out, scale=1):
         p1, p2 = p2, p1
     smax2, emax2 = p2.smax, p2.emax
     admissible = {}
-    get = out.get
     for k1, c1, s1, e1 in p1:
         smax, emax = order - s1, eps_order - e1
         if smax2 <= smax and emax2 <= emax:
@@ -170,21 +170,8 @@ def _mul_slice(p1, p2, order, eps_order, out, scale=1):
                 row = admissible[smax, emax] = [t for t in p2
                                                 if t[2] <= smax and t[3] <= emax]
         c1s = c1 * scale if scale != 1 else c1
-        # series.accumulate inlined: calling it here slows embedding B by ~20%
         for k2, c2, _, _ in row:
-            c = c1s * c2
-            if c == 0:
-                continue
-            k = k1 + k2
-            cur = get(k)
-            if cur is None:
-                out[k] = c
-            else:
-                cur = cur + c
-                if cur == 0:
-                    del out[k]
-                else:
-                    out[k] = cur
+            accumulate(out, k1 + k2, c1s * c2)
 
 
 def _shift_eps(p, eps_order, out, scale=1):
@@ -249,12 +236,24 @@ def _homological_residual(T, G, quad, N, d, order, eps_order):
     return R
 
 
-def _pin_slow(psi, key, alpha, beta):
-    """Keep the slow-manifold parametrisation exactly mean/gradient: set the
-    slow components of ``psi`` at a slow ``key`` against its fast content."""
-    p2, p3 = psi[2].get(key, 0), psi[3].get(key, 0)
-    for i, w in ((0, alpha), (1, beta)):
-        v = -(w[2] * p2 + w[3] * p3) / 2
+def _pinned(m3, m4):
+    """The components pinned at a monomial with fast exponents m3, m4: the
+    slow pair at a slow monomial, and s3's (s4's) component at s3 (s4) times
+    a power of s3·s4 and a slow monomial, where that component is resonant."""
+    if m3 == m4 == 0:
+        return (0, 1)
+    return {1: (2,), -1: (3,)}.get(m3 - m4, ())
+
+
+def _pin(psi, key, content, comps):
+    """The one normalisation: each separated coordinate is exactly what its
+    map row reads off the transform.  At ``key`` set each component i in
+    ``comps`` to v = -sum over j != i of content[i][j]·psi_j, skipping zero
+    entries of ``content`` (which has a unit diagonal).  A zero v leaves
+    psi_i as it is, so a unit content row pins nothing."""
+    for i in comps:
+        v = -sum(w * psi[j][key] for j, w in enumerate(content[i])
+                 if j != i and w != 0 and key in psi[j])
         if v != 0:
             psi[i][key] = v
 
@@ -345,16 +344,17 @@ class GradedSeries:
 
 
 def _frame(system: SpatialSystem, collapsed):
-    """The linear set-up of either view: ``(eig, mu, t1, t1inv, rows, alpha,
-    beta, quad, N)``, from one ``linalg.eigen`` call on a -mu, 0, 0, mu
-    spectrum (any other is refused).  ``t1``'s columns are the slow pair
-    dual to map rows 1-2 over the zero eigenvectors (``collapsed``: the
-    eigenvector and its Jordan step), then the fast eigenvectors normalised
-    by rows 3-4.
+    """The linear set-up of either view: ``(eig, mu, t1, t1inv, content,
+    quad, N)``, from one ``linalg.eigen`` call on a -mu, 0, 0, mu spectrum
+    (any other is refused).  ``t1``'s columns are the slow pair dual to map
+    rows 1-2 over the zero eigenvectors (``collapsed``: the eigenvector and
+    its Jordan step), then the fast eigenvectors normalised by rows 3-4.
+    ``content[i][j]`` is map row i read off column j (rows · t1): a unit
+    diagonal by construction, and its slow 2x2 block the identity (checked).
 
     The one lane switch: a rational mu keeps every entry an exact Fraction.
     An irrational pair (embedding B) comes from ``linalg.eigen`` as floats,
-    so the frame goes float: kernel and map ``rows`` through ``float()``,
+    so the frame goes float: kernel and map rows through ``float()``,
     ``t1`` scaled by 1.0 and inverted by numpy.  The collapsed view solves
     and checks its Jordan form exactly, so it refuses that lane.
     """
@@ -389,14 +389,13 @@ def _frame(system: SpatialSystem, collapsed):
     else:
         t1inv = [list(map(float, r)) for r in np.linalg.inv(np.array(t1, dtype=float))]
 
-    alpha = [t1[0][j] + t1[1][j] for j in range(4)]
-    beta = [t1[2][j] + t1[3][j] for j in range(4)]
-    if alpha[0] != 2 or alpha[1] != 0 or beta[0] != 0 or beta[1] != 2:
+    content = [[sum(r[c] * t1[c][j] for c in range(4)) for j in range(4)] for r in rows]
+    if [r[:2] for r in content[:2]] != [[1, 0], [0, 1]]:
         raise ConstructionRefused("slow columns not aligned with the mean/gradient rows")
     quad, N, has_eps = _perturbation_shape(system, one)
     if collapsed and has_eps:
         raise ConstructionRefused("system still carries the embedding parameter")
-    return eig, mu, t1, t1inv, rows, alpha, beta, quad, N
+    return eig, mu, t1, t1inv, content, quad, N
 
 
 def _slow_columns(span, rows):
@@ -456,12 +455,7 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
     check_order(order)
     if eps_order is None:
         eps_order = DEFAULT_EPS_ORDER
-    _, mu, t1, t1inv, rows, alpha, beta, quad, N = _frame(system, collapsed=False)
-    # map-row content of each column, for keeping the fast columns aligned
-    # with rows 3 and 4 at every parameter order (automatic when those rows
-    # are left eigenvectors of the base matrix, as for one embedding family)
-    row3 = [sum(rows[2][c] * t1[c][j] for c in range(4)) for j in range(4)]
-    row4 = [sum(rows[3][c] * t1[c][j] for c in range(4)) for j in range(4)]
+    _, mu, t1, t1inv, content, quad, N = _frame(system, collapsed=False)
 
     T1, G1 = _linear_slices(t1, mu)
     T, G = {1: _freeze(T1)}, {1: _freeze(G1)}
@@ -497,18 +491,7 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
                         psi[i][key] = r / (kint * mu)
                         report.entries.append(ResonanceEntry(
                             i + 1, mono, kint * mu, "removed-into-T"))
-                if m3 == 0 and m4 == 0:
-                    _pin_slow(psi, key, alpha, beta)
-                elif m3 - m4 == 1:
-                    # resonant dressing of the stable direction: hold the
-                    # map-row-3 content of the transform at exactly s3
-                    v = -sum(row3[j] * psi[j].get(key, 0) for j in (0, 1, 3))
-                    if v != 0:
-                        psi[2][key] = v
-                elif m4 - m3 == 1:
-                    v = -sum(row4[j] * psi[j].get(key, 0) for j in (0, 1, 2))
-                    if v != 0:
-                        psi[3][key] = v
+                _pin(psi, key, content, _pinned(m3, m4))
             Td = _lift(t1, psi, [{} for _ in range(4)])
             if any(Td):
                 T[d] = _freeze(Td)
@@ -644,10 +627,8 @@ def construct_dense(system: SpatialSystem, order=3, eps_order=None):
     """
     check_order(order)
     K = DEFAULT_EPS_ORDER if eps_order is None else eps_order
-    _, mu, t1, t1inv, rows, alpha, beta, quad, N = _frame(system, collapsed=False)
-    row3 = [float(sum(rows[2][c] * t1[c][j] for c in range(4))) for j in range(4)]
-    row4 = [float(sum(rows[3][c] * t1[c][j] for c in range(4))) for j in range(4)]
-    alpha, beta = [float(x) for x in alpha], [float(x) for x in beta]
+    _, mu, t1, t1inv, content, quad, N = _frame(system, collapsed=False)
+    content = [[float(x) for x in r] for r in content]
     t1, t1inv = np.array(t1, dtype=float), np.array(t1inv, dtype=float)
     quad = [[(i, j, float(coef)) for i, j, coef in q] for q in quad]
     mu = float(mu)
@@ -671,14 +652,12 @@ def construct_dense(system: SpatialSystem, order=3, eps_order=None):
             # T(1) and G(1) are final: drop the pairs their zero rows kill
             lie_s1, lie_1s = _live(lie_s1, Y=G[1][:, 1:]), _live(lie_1s, X=T[1][:, 1:])
 
-        # per monomial: the divisors k·mu, the kept (resonant) slots and the
-        # pinning classes, as in ``construct``
+        # per monomial: the divisors k·mu, the kept (resonant) slots and,
+        # per component, the monomials where ``_pinned`` pins it
         kint = np.array([[(m[3] - m[2]) - p for p in _EIGEN_PATTERN] for m in mons])
         kept = kint == 0
         div = np.where(kept, 1.0, kint * mu)
-        slow = np.array([m[2] == 0 and m[3] == 0 for m in mons])
-        stable = np.array([m[2] - m[3] == 1 for m in mons])
-        unstable = np.array([m[3] - m[2] == 1 for m in mons])
+        pins = [np.array([i in _pinned(m[2], m[3]) for m in mons]) for i in range(4)]
 
         for e in range(K + 1):
             if s == 1 and e == 0:
@@ -690,13 +669,9 @@ def construct_dense(system: SpatialSystem, order=3, eps_order=None):
                 nc = _times(t1inv, R[:, e].reshape(M, 4))
                 psi = np.where(kept, 0.0, nc / div)
                 g = np.where(kept, nc, 0.0)
-                p2, p3 = psi[slow, 2], psi[slow, 3]
-                psi[slow, 0] = -(alpha[2] * p2 + alpha[3] * p3) / 2
-                psi[slow, 1] = -(beta[2] * p2 + beta[3] * p3) / 2
-                p = psi[stable]
-                psi[stable, 2] = -(row3[0] * p[:, 0] + row3[1] * p[:, 1] + row3[3] * p[:, 3])
-                p = psi[unstable]
-                psi[unstable, 3] = -(row4[0] * p[:, 0] + row4[1] * p[:, 1] + row4[2] * p[:, 2])
+                for i, at in enumerate(pins):  # ``_pin``, one component at a time
+                    psi[at, i] = -sum(w * psi[at, j] for j, w in enumerate(content[i])
+                                      if j != i and w != 0)
                 Ts[:, e] = _times(t1, psi).ravel()
                 Gs[:, e] = g.ravel()
             if e == K:
@@ -751,7 +726,7 @@ def construct_at_unity(system: SpatialSystem, order=3):
     interaction).
     """
     check_order(order)
-    eig, mu, t1, t1inv, _, alpha, beta, quad, _ = _frame(system, collapsed=True)
+    eig, mu, t1, t1inv, content, quad, _ = _frame(system, collapsed=True)
     # the slow pair over the kernel and the Jordan step has A·c2 = h·c1
     # (h = 1 in this family): A in this basis is diag(0,0,-mu,mu) plus the
     # (1,2) nilpotent entry
@@ -770,30 +745,14 @@ def construct_at_unity(system: SpatialSystem, order=3):
     last = T1
 
     def resonance_class(i, m3, m4):
-        if (m4 - m3) != _EIGEN_PATTERN[i]:
+        # -1 removable, 0 resonant, 1 resonant and mixing both fast variables
+        if m4 - m3 != _EIGEN_PATTERN[i]:
             return -1
-        if i <= 1:
-            return 1 if (m3 or m4) else 0
-        if i == 2:
-            return 1 if m4 else 0
-        return 1 if m3 else 0
+        return 1 if min(m3, m4) >= 1 else 0
 
     def cross_kernel_slots(d):
-        slots = []
-        for m3 in range(order + 1):
-            for m4 in range(order + 1):
-                comps = [i for i in range(4) if resonance_class(i, m3, m4) == 1]
-                if not comps:
-                    continue
-                for m1 in range(order + 1):
-                    m2 = d - m1 - m3 - m4
-                    if m2 < 0 or m1 + m2 + m3 + m4 > order:
-                        continue
-                    key = _encode((m1, m2, m3, m4))
-                    for i in comps:
-                        slots.append((i, key))
-        slots.sort()
-        return slots
+        return sorted((i, _encode(m)) for m in _monomials(d)[0] for i in range(4)
+                      if resonance_class(i, m[2], m[3]) == 1)
 
     def knob_influence(j, key, d):
         phi = [_pack({key: t1[c][j]} if t1[c][j] != 0 else {}) for c in range(4)]
@@ -911,8 +870,7 @@ def construct_at_unity(system: SpatialSystem, order=3):
                             leftovers.append((i + 1, _decode4(key), r))
                         else:
                             retained.append((i + 1, _decode4(key), r))
-            if m3 == 0 and m4 == 0:
-                _pin_slow(psi, key, alpha, beta)
+            _pin(psi, key, content, _pinned(m3, m4))
         # slow-component resonant content, after pinning corrections
         for key in order_keys:
             if (key >> 8) & 15 or (key >> 12) & 15:

@@ -4,16 +4,17 @@ All symbolic work in the derivation pipeline happens on these series.  A
 series is a dictionary mapping exponent tuples to coefficients, truncated so
 that no stored monomial exceeds the caps of the owning :class:`Space`.
 Coefficients are :class:`fractions.Fraction`; the same code path accepts
-floats, which the embedding cross-check uses for a matrix family whose
-eigenvalues are irrational.
+floats, which reach a series only through :meth:`TruncatedSeries.evaluate`
+at float points (``RobinBC.residual``) and through the term-by-term build of
+embedding B, whose irrational eigenvalues put it on the float lane (the
+tests keep it as the reference of the dense build).
 
 A monomial is an exponent tuple aligned with ``space.names``.  The canonical
 term order is lexicographic on exponent tuples, which keeps serialised
 artefacts byte-stable.  Zero coefficients are never stored: every sum of
-terms goes through :func:`accumulate`, which skips a zero addend and deletes
-a key whose sum cancels to zero.  Its one inline copy is in
-``normalform._mul_slice``, the loop that carries most of embedding B's
-construction, where a call per product would cost about a fifth of it.
+terms, ``normalform._mul_slice``'s products included, goes through
+:func:`accumulate`, which skips a zero addend and deletes a key whose sum
+cancels to zero.
 """
 
 from __future__ import annotations
@@ -241,9 +242,7 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
-            if not self.terms:
-                return coerce_coeff(other) == 0
-            return self.constant_term() == coerce_coeff(other) and len(self.terms) == 1
+            return self.terms == TruncatedSeries.constant(self.space, other).terms
         return self.space.same_vars(other.space) and self.terms == other.terms
 
     def at_zero(self, *names):

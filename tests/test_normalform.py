@@ -378,6 +378,35 @@ def test_dense_a_matches_the_exact_build(constructed):
     assert absent <= 1e-13
 
 
+@pytest.mark.parametrize("order,eps_order", ((3, 8), (4, 10)))
+def test_fast_pins_hold_map_rows_3_and_4_on_embedding_b(order, eps_order):
+    # B's map rows 3-4 are not left eigenvectors of its base matrix, so only
+    # the pin of the resonant fast component keeps s3 (s4) the stable
+    # (unstable) amplitude: map row 3 (4) reads 0 off every transform term of
+    # state degree >= 2 at s3 (s4) times a power of s3·s4
+    emb = system.build_embedding("B")
+    rows = [[float(x) for x in r] for r in system.coordinate_map().rows]
+    transform, _, _ = normalform.construct(emb, order=order, eps_order=eps_order)
+    dense, _ = normalform.construct_dense(emb, order=order, eps_order=eps_order)
+    checked = {2: 0, 3: 0}
+
+    def check(m, coefs):
+        k = {1: 2, -1: 3}.get(m[2] - m[3])
+        if k is not None and sum(m[:4]) >= 2 and any(coefs):
+            parts = [r * float(v) for r, v in zip(rows[k], coefs)]
+            assert abs(sum(parts)) <= 1e-13 * max(map(abs, parts)), (k, m)
+            checked[k] += 1
+
+    comps = transform.series
+    for e in set().union(*(comp.terms for comp in comps)):
+        check(e, [comp.terms.get(e, 0) for comp in comps])
+    for s, coefs in dense.items():
+        for m, block in zip(normalform._monomials(s)[0], coefs):
+            for column in block.T:
+                check(m, column)
+    assert min(checked.values()) > 20
+
+
 @pytest.mark.parametrize("ratio", (0.5, -0.7, 0.38, 0.9))
 def test_wynn_is_exact_on_a_geometric_series(ratio):
     sums = list(itertools.accumulate(ratio ** k for k in range(20)))

@@ -40,6 +40,16 @@ def test_additive_identity():
     assert p + 0 == p
 
 
+def test_equality_with_a_scalar_compares_every_term():
+    x = var("x")
+    assert not x == 0 and not 0 == x and not 2 * x == 0
+    assert x != 0 and 2 * x != 2 and 1 + x != 1
+    assert TruncatedSeries.zero(SP3) == 0 and 0 == TruncatedSeries.zero(SP3)
+    assert TruncatedSeries.constant(SP3, F(3, 2)) == F(3, 2)
+    assert TruncatedSeries.constant(SP3, 2) == 2.0
+    assert TruncatedSeries.constant(SP3, 2) != 0
+
+
 def test_cancellation_gives_empty_term_map():
     x = var("x")
     out = x + (-x)
