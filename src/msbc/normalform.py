@@ -50,9 +50,10 @@ one degree down).  ``_pinned`` and ``_pin`` hold the normalisation for all
 three constructions, ``_lift`` maps solved coefficients back to the state
 and ``_assemble`` turns the slices into series.  All three take their
 linear set-up from ``_frame``: one ``linalg.eigen`` call, the map-aligned
-columns, their inverse and map-row content, and the split perturbation, on
-the one lane it picks (exact, or float for an irrational spectrum).  The
-parameter-1 view solves its coupled kernel slots with ``linalg.solve``.
+columns, their inverse and map-row content, the quadratic terms and the
+coupling, on the one lane it picks (exact, or float for an irrational
+spectrum).  The parameter-1 view solves its coupled kernel slots with
+``linalg.solve``.
 
 A slice (one component's terms of one degree) is a dict while a step still
 writes it, and is frozen once it is finished: packed into a list of
@@ -392,8 +393,8 @@ def _frame(system: SpatialSystem, collapsed):
     content = [[sum(r[c] * t1[c][j] for c in range(4)) for j in range(4)] for r in rows]
     if [r[:2] for r in content[:2]] != [[1, 0], [0, 1]]:
         raise ConstructionRefused("slow columns not aligned with the mean/gradient rows")
-    quad, N, has_eps = _perturbation_shape(system, one)
-    if collapsed and has_eps:
+    quad, N = _perturbation_shape(system, one)
+    if collapsed and any(x != 0 for row in N for x in row):
         raise ConstructionRefused("system still carries the embedding parameter")
     return eig, mu, t1, t1inv, content, quad, N
 
@@ -423,22 +424,17 @@ def _fast_column(vector, row):
 
 
 def _perturbation_shape(system, one):
-    """Split the perturbation into state-quadratic terms and the
-    parameter-linear matrix; anything else is outside this family."""
+    """``quad``, per component the state-quadratic terms (i, j, coef) of the
+    nonlinearity, and ``N``, the coupling; any other monomial is outside
+    this family."""
     quad = [[] for _ in range(4)]
-    N = [[0] * 4 for _ in range(4)]
-    has_eps = False
     for c, comp in enumerate(system.nonlinear):
         for e, coef in comp.terms.items():
-            if e[4] == 0 and sum(e[:4]) == 2:
-                idx = [k for k in range(4) for _ in range(e[k])]
-                quad[c].append((idx[0], idx[1], coef * one))
-            elif e[4] == 1 and sum(e[:4]) == 1:
-                N[c][next(k for k in range(4) if e[k])] += coef * one
-                has_eps = True
-            else:
+            if sum(e) != 2:
                 raise ConstructionRefused("unsupported perturbation monomial %r" % (e,))
-    return quad, N, has_eps
+            i, j = [k for k in range(4) for _ in range(e[k])]
+            quad[c].append((i, j, coef * one))
+    return quad, [[x * one for x in row] for row in system.coupling.rows]
 
 
 def check_order(order):
@@ -896,32 +892,19 @@ def construct_at_unity(system: SpatialSystem, order=3):
                             _assemble(G, space, _decode4), leftovers, retained), eig)
 
 
-def _state_bindings(system, Tvec):
-    """Compose the system's perturbation with the transform components."""
-    space = Tvec.space
-    bindings = {name: Tvec[i] for i, name in enumerate(("a", "b", "ap", "bp"))}
-    comps = []
-    for comp in system.nonlinear:
-        if "eps" in space.names:
-            comps.append(comp.substitute(bindings))
-        else:
-            st4 = Space(("a", "b", "ap", "bp"), space.order)
-            mapped = comp.map_vars(st4, {"a": "a", "b": "b", "ap": "ap", "bp": "bp"})
-            comps.append(mapped.substitute(bindings))
-    return comps
-
-
 def verify_conjugacy(transform, evolution, system):
-    """Recompute DT·G - F(T) directly on the public series operations.
+    """Recompute DT·G - (linear + eps coupling)·T - F(T) directly on the
+    public series operations.
 
     Works for either the graded pair against an embedding, or the
-    parameter-1 pair against the collapsed system.  Independent of the
-    sliced construction loop; every representable term must vanish.
+    parameter-1 pair against the unembedded system (whose zero coupling
+    needs no eps variable).  Independent of the sliced construction loop;
+    every representable term must vanish.
     """
     Tv, Gv = (v.series if isinstance(v, GradedSeries) else v
               for v in (transform, evolution))
     space = Tv.space
-    fT = _state_bindings(system, Tv)
+    bindings = dict(zip(system.nonlinear.space.names, Tv))
     resid = []
     for c in range(4):
         total = TruncatedSeries.zero(space)
@@ -932,7 +915,10 @@ def verify_conjugacy(transform, evolution, system):
             coef = system.linear[c, k]
             if coef != 0:
                 lin = lin + Tv[k] * coef
-        resid.append(total - lin - fT[c])
+            coef = system.coupling[c, k]
+            if coef != 0:
+                lin = lin + TruncatedSeries.variable(space, "eps") * Tv[k] * coef
+        resid.append(total - lin - system.nonlinear[c].substitute(bindings))
     return SeriesVector(resid)
 
 
@@ -999,6 +985,13 @@ class CrossCheck:
         return self.identical
 
 
+def _worse(worst, value):
+    """The larger of two discrepancies, where NaN is the worst: ``max`` keeps
+    a number over a NaN that follows it, and would let a non-finite Wynn
+    value of B pass."""
+    return value if math.isnan(value) or value > worst else worst
+
+
 def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
     """Check the parameter-1 normal form against both embedding families.
 
@@ -1021,7 +1014,8 @@ def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
     coefficientwise with each other and A with the parameter-1 pair.  The
     tail estimate reads B's convergence from the same build: the largest
     change of B's Wynn value between the partial sums to K and to
-    K - ``TAIL_STEP``.
+    K - ``TAIL_STEP``.  A non-finite Wynn value makes the discrepancy and
+    the tail NaN or infinite, and so fails the check.
     """
     from .system import build_embedding
 
@@ -1040,11 +1034,11 @@ def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
                     if min(m[2], m[3]) == 0:
                         db[m] = wynn_epsilon(row)
                         if eps_order >= TAIL_STEP:
-                            tail = max(tail, abs(db[m] - wynn_epsilon(row[:-TAIL_STEP])))
+                            tail = _worse(tail, abs(db[m] - wynn_epsilon(row[:-TAIL_STEP])))
             for key in set(da) | set(db):
-                worst = max(worst, abs(float(da.get(key, 0)) - float(db.get(key, 0))))
+                worst = _worse(worst, abs(float(da.get(key, 0)) - float(db.get(key, 0))))
             du = _separated_sector(cu)
             for key in set(da) | set(du):
-                gap = max(gap, abs(float(da.get(key, 0)) - float(du.get(key, 0))))
+                gap = _worse(gap, abs(float(da.get(key, 0)) - float(du.get(key, 0))))
     passed = worst <= tolerance and gap <= tolerance and tail <= tolerance
     return CrossCheck(passed, worst, gap, tail, order, eps_order, tolerance)

@@ -241,8 +241,10 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
+        if isinstance(other, (int, Fraction, float)):
             return self.terms == TruncatedSeries.constant(self.space, other).terms
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return self.space.same_vars(other.space) and self.terms == other.terms
 
     def at_zero(self, *names):

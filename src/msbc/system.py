@@ -61,49 +61,38 @@ def solver_units(poly, k):
 
 @dataclass(frozen=True)
 class SpatialSystem:
-    """Linear matrix plus polynomial perturbation for d/dx (a,b,a',b')."""
+    """d/dx (a, b, a', b') = (linear + eps coupling) u + nonlinear(u).
+
+    ``coupling`` is the matrix the embedding parameter eps multiplies (zero
+    for the unembedded system); ``nonlinear`` is the state-quadratic series
+    over (a, b, ap, bp), with no parameter."""
 
     linear: Matrix
+    coupling: Matrix
     nonlinear: SeriesVector
-    label: str = ""
-
-    def eps_linear_matrix(self):
-        """Matrix of the perturbation terms linear in the state and in the
-        embedding parameter."""
-        units = [tuple(int(i == j) for i in range(4)) + (1,) for j in range(4)]
-        return Matrix([[comp.coefficient(e) for e in units] for comp in self.nonlinear])
-
-    def state_quadratic(self):
-        """The parameter-free part of the perturbation (the true
-        nonlinearity)."""
-        return SeriesVector([c.at_zero("eps") for c in self.nonlinear])
-
-    def reduced_at_eps1(self):
-        """Collapse the embedding at parameter 1: linear part plus the
-        parameter-linear matrix, with the bare nonlinearity retained."""
-        return SpatialSystem(self.linear + self.eps_linear_matrix(),
-                             self.state_quadratic(),
-                             label=self.label + "@eps=1" if self.label else "@eps=1")
+    label: str
 
 
 def build_original():
     """The unembedded spatial system: the steady microscale rows divided by
     the diffusion, in the derivation's variables (the solver fields over
-    ``FIELD_SCALE``)."""
-    sp = Space(("a", "b", "ap", "bp", "eps"), 2, grading="eps", grading_order=1)
+    ``FIELD_SCALE``), with a zero coupling."""
+    sp = Space(("a", "b", "ap", "bp"), 2)
     x, v, k = _steady_rates()
     linear = Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [x, -x, v, 0], [-x, x, 0, -v]])
     zero = TruncatedSeries.zero(sp)
-    nonlinear = SeriesVector([zero, zero, TruncatedSeries(sp, {(2, 0, 0, 0, 0): -k}),
-                              TruncatedSeries(sp, {(0, 2, 0, 0, 0): k})])
-    return SpatialSystem(linear, nonlinear, label="original")
+    nonlinear = SeriesVector([zero, zero, TruncatedSeries(sp, {(2, 0, 0, 0): -k}),
+                              TruncatedSeries(sp, {(0, 2, 0, 0): k})])
+    return SpatialSystem(linear, Matrix([[0] * 4] * 4), nonlinear, "original")
 
 
 def build_embedding(variant):
     """One-parameter embedding family with diagonalisable linear part: the
-    original system plus (eps - 1) E_w, where E_w has rows (0, 0, 0, 1),
-    (0, 0, 1, 0), (0, 0, w, -w) and (0, 0, w, -w); both variants reduce
-    exactly to the original at parameter 1.  The family's rates satisfy
+    original system plus (eps - 1) E_w, where the coupling E_w has rows
+    (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, w, -w) and (0, 0, w, -w); the linear
+    part is the original's less E_w and the nonlinearity is the original's,
+    so both variants reduce exactly to the original at parameter 1.  The
+    family's rates satisfy
     D^2 lambda^2 = V^2 + 4DX - 2DVw + 2D eps (Vw - X).  "A" takes w = X/V,
     the one weight whose rates do not depend on eps.  "B" takes w = 1/6,
     typed: no rule of D, V, X and K picks one independent, eps-dependent
@@ -117,14 +106,8 @@ def build_embedding(variant):
         raise ValueError("variant must be 'A' or 'B'")
     coupling = Matrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, w, -w], [0, 0, w, -w]])
     original = build_original()
-    # each row's state terms come first, then eps a' and eps b': embedding
-    # B's float sums follow this order
-    nonlinear = SeriesVector([
-        TruncatedSeries(original.nonlinear.space,
-                        {**comp.terms, (0, 0, 1, 0, 1): row[2], (0, 0, 0, 1, 1): row[3]})
-        for comp, row in zip(original.nonlinear, coupling.rows)])
-    return SpatialSystem(original.linear - coupling, nonlinear,
-                         label="embedding-%s" % variant)
+    return SpatialSystem(original.linear - coupling, coupling, original.nonlinear,
+                         "embedding-%s" % variant)
 
 
 def coordinate_map():

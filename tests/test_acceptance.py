@@ -100,7 +100,7 @@ def test_criterion_4_conjugacy(constructed, at_unity):
     resid = normalform.verify_conjugacy(transform, evolution, emb)
     assert all(c.is_zero() for c in resid)
     resid = normalform.verify_conjugacy(at_unity[0], at_unity[1],
-                                        emb.reduced_at_eps1())
+                                        system.build_original())
     assert all(c.is_zero() for c in resid)
     # numeric dual integration at |s| = 0.01 over one unit of space
     from test_normalform import test_numeric_dual_integration

@@ -343,6 +343,24 @@ def test_derive_fails_when_the_resummation_tail_exceeds_the_tolerance(tmp_path, 
     assert float(tail) > 1e-12
 
 
+@pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+def test_derive_fails_on_a_non_finite_coefficient_of_b(tmp_path, monkeypatch, capsys, bad):
+    # component 1 of s4^2 at parameter degree 5: a non-finite entry there
+    # makes its Wynn value NaN, which a max() fold would skip
+    real = normalform.construct_dense
+
+    def poisoned(*args, **kwargs):
+        T, G = real(*args, **kwargs)
+        T[2][0, 0, 5] = bad
+        return T, G
+
+    monkeypatch.setattr(normalform, "construct_dense", poisoned)
+    out = tmp_path / "poisoned"
+    assert cli.main(["derive", "--order", "3", "--out", str(out)]) == 2
+    assert "embedding cross-validation failed: discrepancy nan" in capsys.readouterr().err
+    assert "FAIL" in read(out / "derivation_report.txt")
+
+
 def test_compare_names_the_resummation_tail(tmp_path, monkeypatch, capsys):
     # at order 2 the discrepancy reads 3.6e-15 and the tail 9.0e-14: a
     # tolerance between them fails the check on the tail alone, and compare

@@ -55,7 +55,8 @@ def test_spectrum_outside_the_family_is_refused(case):
     with pytest.raises(LinalgError, match="outside the -mu, 0, 0, mu family"):
         eigen(mat)
     if mat.n == 4:
-        bent = system.SpatialSystem(mat, system.build_original().nonlinear)
+        original = system.build_original()
+        bent = system.SpatialSystem(mat, original.coupling, original.nonlinear, "bent")
         with pytest.raises(ConstructionRefused,
                            match="^spectrum outside the handled family"):
             normalform.construct(bent, order=3)

@@ -7,6 +7,7 @@ to 0.55 of the last printed unit (the source figures use round-half-away and
 occasionally double rounding, e.g. -2.25 printed as -2.3).
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -19,7 +20,7 @@ from scipy.integrate import solve_ivp
 
 from msbc import normalform, system
 from msbc.normalform import ConstructionRefused
-from msbc.series import SeriesVector, TruncatedSeries
+from msbc.series import SeriesVector, Space, TruncatedSeries
 
 
 def against_printed(computed, printed):
@@ -217,6 +218,30 @@ def test_construct_at_unity_refuses_an_irrational_collapsed_spectrum(monkeypatch
         normalform.construct_at_unity(system.build_original(), order=3)
 
 
+@pytest.mark.parametrize("extra", ({(3, 0, 0, 0): F(1, 5)}, {(0, 0, 1, 0): F(2)}),
+                         ids=("cubic", "linear"))
+def test_constructions_refuse_a_perturbation_that_is_not_quadratic(extra):
+    # only state-quadratic terms fit the homological residual's products
+    sp = Space(("a", "b", "ap", "bp"), 3)
+    for base in (system.build_embedding("A"), system.build_original()):
+        comps = [TruncatedSeries(sp, comp.terms) for comp in base.nonlinear]
+        comps[2] = comps[2] + TruncatedSeries(sp, extra)
+        bent = dataclasses.replace(base, nonlinear=SeriesVector(comps))
+        build = normalform.construct if base.label != "original" else \
+            normalform.construct_at_unity
+        with pytest.raises(ConstructionRefused, match="unsupported perturbation monomial"):
+            build(bent, order=3)
+
+
+def test_construct_at_unity_refuses_a_coupling():
+    # the parameter-1 view has no parameter for a coupling to multiply
+    coupled = dataclasses.replace(system.build_original(),
+                                  coupling=system.build_embedding("A").coupling)
+    with pytest.raises(ConstructionRefused,
+                       match="system still carries the embedding parameter"):
+        normalform.construct_at_unity(coupled, order=3)
+
+
 def test_slow_columns_refuse_a_degenerate_span():
     rows = system.coordinate_map().rows
     kernel = [F(1), F(1), F(0), F(0)]
@@ -243,7 +268,7 @@ def test_conjugacy_graded_and_resummed(constructed, at_unity):
     resid = normalform.verify_conjugacy(transform, evolution, emb)
     assert all(c.is_zero() for c in resid)
     resid = normalform.verify_conjugacy(at_unity[0], at_unity[1],
-                                        emb.reduced_at_eps1())
+                                        system.build_original())
     assert all(c.is_zero() for c in resid)
 
 
@@ -437,23 +462,28 @@ def test_wynn_shifts_with_a_constant_added_to_every_sum():
 def test_resummation_cannot_hide_a_shifted_coefficient_of_b(constructed, at_unity,
                                                              monkeypatch, edeg):
     real = normalform.construct_dense
-
-    def shifted(*args, **kwargs):
-        T, G = real(*args, **kwargs)
-        # the first separated monomial of the first component with a
-        # coefficient at parameter degree ``edeg``
-        s, m = next((s, m) for s in sorted(T)
-                    for m, mono in enumerate(normalform._monomials(s)[0])
-                    if min(mono[2], mono[3]) == 0 and T[s][m, 0, edeg] != 0)
-        T[s][m, 0, edeg] += 1e-9
-        return T, G
-
-    monkeypatch.setattr(normalform, "construct_dense", shifted)
     transform, evolution, _ = constructed
-    cc = normalform.cross_validate_embeddings(transform, evolution, at_unity[:2])
-    assert not cc.identical
-    assert cc.max_discrepancy >= 5e-10
-    assert cc.tail_estimate <= cc.tolerance
+    # a shift of 1e-9, then a NaN and an infinity in its place: the Wynn
+    # value of a non-finite partial sum is NaN, which must not pass either
+    for bad in (None, math.nan, math.inf):
+        def shifted(*args, **kwargs):
+            T, G = real(*args, **kwargs)
+            # the first separated monomial of the first component with a
+            # coefficient at parameter degree ``edeg``
+            s, m = next((s, m) for s in sorted(T)
+                        for m, mono in enumerate(normalform._monomials(s)[0])
+                        if min(mono[2], mono[3]) == 0 and T[s][m, 0, edeg] != 0)
+            T[s][m, 0, edeg] = T[s][m, 0, edeg] + 1e-9 if bad is None else bad
+            return T, G
+
+        monkeypatch.setattr(normalform, "construct_dense", shifted)
+        cc = normalform.cross_validate_embeddings(transform, evolution, at_unity[:2])
+        assert not cc.identical
+        if bad is None:
+            assert cc.max_discrepancy >= 5e-10
+            assert cc.tail_estimate <= cc.tolerance
+        else:
+            assert not math.isfinite(cc.max_discrepancy)
 
 
 def test_variant_against_itself_trivially_identical():
@@ -471,8 +501,7 @@ def test_higher_order_surfaces_unremovable_cross_terms():
     # and the conjugacy must stay exact
     transform, unity, leftovers, _ = normalform.construct_at_unity(
         system.build_original(), order=4)
-    emb = system.build_embedding("A")
-    resid = normalform.verify_conjugacy(transform, unity, emb.reduced_at_eps1())
+    resid = normalform.verify_conjugacy(transform, unity, system.build_original())
     assert all(c.is_zero() for c in resid)
     assert leftovers  # order-4 obstruction is real
     for comp, mono, value in leftovers:

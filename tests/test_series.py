@@ -48,6 +48,11 @@ def test_equality_with_a_scalar_compares_every_term():
     assert TruncatedSeries.constant(SP3, F(3, 2)) == F(3, 2)
     assert TruncatedSeries.constant(SP3, 2) == 2.0
     assert TruncatedSeries.constant(SP3, 2) != 0
+    # anything but a number is unequal, not coerced or refused
+    half = TruncatedSeries.constant(SP3, F(1, 2))
+    for other in (None, "abc", "1/2", [F(1, 2)], object()):
+        assert not half == other and half != other
+        assert not other == half and other != half
 
 
 def test_cancellation_gives_empty_term_map():

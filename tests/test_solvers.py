@@ -331,7 +331,7 @@ def test_micro_rhs_is_the_derived_model_in_solver_units():
         for k in range(1, 16):
             state = [F(v) / S for v in (a[k], b[k], ax[k], bx[k])]
             u_xx = sum(model.linear[row, j] * state[j] for j in range(4)) \
-                + model.nonlinear[row].evaluate(state + [F(0)])
+                + model.nonlinear[row].evaluate(state)
             assert got[k - 1] == pytest.approx(uxx - S * float(u_xx), abs=1e-13)
 
 

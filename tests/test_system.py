@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,10 +21,12 @@ def test_original_nonlinearity_vanishes_at_origin():
     s = system.build_original()
     for comp in s.nonlinear:
         assert comp.constant_term() == 0
-        assert comp.evaluate((0, 0, 0, 0, 0)) == 0
-    # shapes: -a^2/2 and +b^2/2 in the derivative rows
-    assert s.nonlinear[2].coefficient((2, 0, 0, 0, 0)) == F(-1, 2)
-    assert s.nonlinear[3].coefficient((0, 2, 0, 0, 0)) == F(1, 2)
+        assert comp.evaluate((0, 0, 0, 0)) == 0
+    # shapes: -a^2/2 and +b^2/2 in the derivative rows, over (a, b, a', b')
+    assert s.nonlinear.space.names == ("a", "b", "ap", "bp")
+    assert s.nonlinear[2].coefficient((2, 0, 0, 0)) == F(-1, 2)
+    assert s.nonlinear[3].coefficient((0, 2, 0, 0)) == F(1, 2)
+    assert s.coupling == Matrix([[0] * 4] * 4)
 
 
 def test_original_eigenvalues_numeric():
@@ -40,8 +43,9 @@ def test_original_eigenvalues_numeric():
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_embedding_reduces_exactly_at_parameter_one(variant):
     emb = system.build_embedding(variant)
-    red = emb.reduced_at_eps1()
     orig = system.build_original()
+    red = dataclasses.replace(emb, linear=emb.linear + emb.coupling,
+                              coupling=orig.coupling)
     assert red.linear == orig.linear
     assert list(red.nonlinear) == list(orig.nonlinear)
     # so the parameter-1 normal form built from the collapsed embedding is
@@ -138,7 +142,7 @@ def test_embedding_a_rates_do_not_depend_on_the_parameter(monkeypatch):
     for exchange in (F(1, 2), F(4, 3), F(4)):
         monkeypatch.setattr(system, "EXCHANGE", exchange)
         emb = system.build_embedding("A")
-        N = emb.eps_linear_matrix()
+        N = emb.coupling
         polys = {tuple((emb.linear + N.scaled(eps)).charpoly()) for eps in (0, F(1, 3), 1)}
         assert polys == {(1, 0, -(1 + 6 * exchange) / 9, 0, 0)}
 
@@ -171,7 +175,7 @@ def test_slow_columns_of_inverse_map():
 
 def test_embedding_eps_linear_matrix():
     emb = system.build_embedding("A")
-    N = emb.eps_linear_matrix()
+    N = emb.coupling
     assert N.rows[0] == [F(0), F(0), F(0), F(1)]
     assert N.rows[1] == [F(0), F(0), F(1), F(0)]
     assert emb.linear + N == system.build_original().linear
