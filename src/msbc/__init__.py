@@ -15,9 +15,8 @@ bundles none; the derivation never imports scipy.
 __version__ = "0.1.0"
 
 from .boundary import (BoundaryData, RobinBC, SolverError,  # noqa: F401
-                       assemble_left_bc, assemble_right_bc,
                        centre_stable_restriction, derive_boundary_conditions,
-                       revert_boundary)
+                       dirichlet_heuristic, revert_boundary, robin_pair)
 from .normalform import (ConstructionRefused, construct,  # noqa: F401
                          construct_at_unity, cross_validate_embeddings,
                          verify_conjugacy)

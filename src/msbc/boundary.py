@@ -5,9 +5,10 @@ mode), impose the microscale Dirichlet values at the boundary, revert the
 resulting series for the slow amplitudes, and read off the nonlinear Robin
 relation C = S(Cx, a0, b0): the mean field as one polynomial in its
 gradient and the Dirichlet data, truncated at total degree 2.  The left
-boundary is derived directly; the right boundary follows from the
+boundary is derived directly; ``robin_pair`` gives the right one by the
 reflection symmetry of the exchanger (swap the two streams with a sign flip
-and reverse space), which gives -S(Cx, -bL, -aL).
+and reverse space), -S(Cx, -bL, -aL).  The naive closure, the data mean
+C = (a0 + b0)/2, is the degree-1 relation of ``dirichlet_heuristic``.
 
 All series here carry exact rational coefficients; boundary data enter only
 when a condition is evaluated numerically, so one derivation serves every
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .series import (ReversionError, SeriesVector, Space, TruncatedSeries,
                      solve_implicit_system)
@@ -119,12 +121,12 @@ class RobinBC:
     """The Robin condition C = S(Cx, u, v) at one boundary.
 
     ``relation`` is S, exact over ("Cx", u, v) with (u, v) this side's
-    Dirichlet data, (a0, b0) or (aL, bL), truncated at total degree 2.  By
-    the power of Cx it reads C - P·Cx - Q·Cx^2 = R with R quadratic in the
-    data, P linear and Q constant; ``R``, ``P`` and ``Q`` are read-only views
-    of those coefficients.  ``data`` supplies the (possibly time-dependent)
-    values the relation is evaluated at when the condition is used
-    numerically.
+    Dirichlet data, (a0, b0) or (aL, bL), truncated at total degree 2 (1 if
+    linearised or heuristic).  By the power of Cx it reads C - P·Cx - Q·Cx^2
+    = R with R quadratic in the data, P linear and Q constant; ``R``, ``P``
+    and ``Q`` are read-only views of those coefficients.  ``data`` supplies
+    the (possibly time-dependent) values the relation is evaluated at when
+    the condition is used numerically.
     """
 
     relation: TruncatedSeries
@@ -206,25 +208,29 @@ def _left_relation(reverted):
     return TruncatedSeries(Space(("Cx",) + DATA_VARS, 2), terms)
 
 
-def assemble_left_bc(reverted, data: BoundaryData):
-    """Robin condition at the left end."""
-    return RobinBC(_left_relation(reverted), "left", (data.a0, data.b0))
-
-
-def assemble_right_bc(reverted, data: BoundaryData):
-    """Robin condition at the right end, by the stream-swap reflection: the
-    left relation S for data (-bL, -aL), mapped back through the sign flips
-    of the field and of the spatial direction, is -S(Cx, -bL, -aL), taken
-    term by term in stored order."""
-    left = _left_relation(reverted)
+def robin_pair(left, data: BoundaryData):
+    """The (left, right) Robin conditions of the left relation S(Cx, a0, b0).
+    The right one follows by the stream-swap reflection: the left relation
+    for data (-bL, -aL), mapped back through the sign flips of the field and
+    of the spatial direction, is -S(Cx, -bL, -aL), taken term by term in
+    stored order."""
     mirror = {(q, j, i): -c * (-1) ** (i + j) for (q, i, j), c in left.terms.items()}
-    return RobinBC(TruncatedSeries(Space(("Cx", "aL", "bL"), left.space.order), mirror),
-                   "right", (data.aL, data.bL))
+    return (RobinBC(left, "left", (data.a0, data.b0)),
+            RobinBC(TruncatedSeries(Space(("Cx", "aL", "bL"), left.space.order), mirror),
+                    "right", (data.aL, data.bL)))
+
+
+def dirichlet_heuristic(data: BoundaryData):
+    """The naive closure as a relation pair: the end value is the data mean,
+    C = a0/2 + b0/2, of degree 1 with no Cx term, so that solver units
+    leave it as it is; the mirror gives aL/2 + bL/2 at the right end."""
+    half = Fraction(1, 2)
+    mean = TruncatedSeries(Space(("Cx",) + DATA_VARS, 1), {(0, 1, 0): half, (0, 0, 1): half})
+    return robin_pair(mean, data)
 
 
 def derive_boundary_conditions(transform, data: BoundaryData):
     """Full chain from the parameter-1 transform to both Robin conditions."""
     constraint = centre_stable_restriction(transform)
     reverted = revert_boundary(constraint)
-    return (constraint, reverted,
-            assemble_left_bc(reverted, data), assemble_right_bc(reverted, data))
+    return (constraint, reverted, *robin_pair(_left_relation(reverted), data))

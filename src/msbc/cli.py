@@ -175,19 +175,6 @@ def parse_scenario(path):
     return Scenario(name, grid, t_end, cfg.snapshots, data, rtol, atol, order)
 
 
-def _cross_tolerance():
-    """``MSBC_SEED_TOLERANCE`` (a finite number >= 0), else 1e-12."""
-    raw = os.environ.get("MSBC_SEED_TOLERANCE", "1e-12")
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not 0 <= tol < math.inf:
-        raise ScenarioError("MSBC_SEED_TOLERANCE must be a finite number >= 0, "
-                            "got %r" % raw)
-    return tol
-
-
 class Derivation:
     """The parameter-1 normal form of the unembedded system and the boundary
     conditions derived from it; reused by the simulation commands so the
@@ -203,13 +190,13 @@ class Derivation:
             self.transform, data or BoundaryData())
 
 
-def _cross_validate(deriv, tolerance, eps_order=None):
+def _cross_validate(deriv, eps_order=None):
     """Build embedding A's graded view and check the derivation against both
     embeddings; returns (A's resonance report, the cross-check)."""
     transform, evolution, report = normalform.construct(
         system.build_embedding("A"), order=deriv.order, eps_order=eps_order)
     cross = normalform.cross_validate_embeddings(
-        transform, evolution, (deriv.transform, deriv.evolution), tolerance=tolerance)
+        transform, evolution, (deriv.transform, deriv.evolution))
     return report, cross
 
 
@@ -299,12 +286,10 @@ def _write(path, text):
 
 def cmd_derive(order, out_dir, eps_order=None):
     normalform.check_order(order)
-    if eps_order is not None and eps_order < 0:
-        raise ScenarioError("eps order must be non-negative")
-    tolerance = _cross_tolerance()
+    normalform.check_eps_order(eps_order)
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=order)
-    report, cross = _cross_validate(deriv, tolerance, eps_order)
+    report, cross = _cross_validate(deriv, eps_order)
 
     _write(os.path.join(out_dir, "derivation_report.txt"),
            derivation_report(deriv, report, cross))
@@ -393,10 +378,9 @@ def cmd_compare(scenario_file, out_dir, window=None):
         solvers.interior_mask(scenario.grid, window)
     except ValueError as ex:
         raise ScenarioError(str(ex)) from None
-    tolerance = _cross_tolerance()
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=scenario.order, data=scenario.data)
-    _, cross = _cross_validate(deriv, tolerance)
+    _, cross = _cross_validate(deriv)
 
     micro = _run_mode(scenario, "micro")
     runs = {}

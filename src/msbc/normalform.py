@@ -83,6 +83,7 @@ from .system import SpatialSystem, coordinate_map
 NF_VARS = ("s1", "s2", "s3", "s4", "eps")
 NF_STATE = ("s1", "s2", "s3", "s4")
 DEFAULT_EPS_ORDER = 36
+CROSS_TOLERANCE = 1e-12  # the embedding cross-check's bound, read at call time
 WYNN_WIDTH = 11  # partial sums per Wynn table: the epsilon_10 column
 TAIL_STEP = 4    # parameter degrees dropped for the tail estimate
 _EIGEN_PATTERN = (0, 0, -1, 1)  # integer multiples of mu per component
@@ -445,10 +446,17 @@ def check_order(order):
         raise ValueError("order above 7 would overflow the packed exponents")
 
 
+def check_eps_order(eps_order):
+    """Reject a negative parameter-degree cap (ValueError); None is the default."""
+    if eps_order is not None and eps_order < 0:
+        raise ValueError("eps order must be non-negative")
+
+
 def construct(system: SpatialSystem, order=3, eps_order=None):
     """Graded view of an embedding: build (transform, evolution,
     ResonanceReport), the first two as ``GradedSeries``."""
     check_order(order)
+    check_eps_order(eps_order)
     if eps_order is None:
         eps_order = DEFAULT_EPS_ORDER
     _, mu, t1, t1inv, content, quad, N = _frame(system, collapsed=False)
@@ -622,6 +630,7 @@ def construct_dense(system: SpatialSystem, order=3, eps_order=None):
     not depend on the CPU.
     """
     check_order(order)
+    check_eps_order(eps_order)
     K = DEFAULT_EPS_ORDER if eps_order is None else eps_order
     _, mu, t1, t1inv, content, quad, N = _frame(system, collapsed=False)
     content = [[float(x) for x in r] for r in content]
@@ -970,7 +979,7 @@ class CrossCheck:
     ``tail_estimate`` is the largest change of embedding B's Wynn value when
     its last ``TAIL_STEP`` parameter degrees are dropped (infinite when the
     cap is below ``TAIL_STEP``).  The check passes when all three are within
-    ``tolerance``.
+    ``tolerance``, the ``CROSS_TOLERANCE`` it was made with.
     """
 
     identical: bool
@@ -992,7 +1001,7 @@ def _worse(worst, value):
     return value if math.isnan(value) or value > worst else worst
 
 
-def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
+def cross_validate_embeddings(transform, evolution, direct):
     """Check the parameter-1 normal form against both embedding families.
 
     ``transform`` and ``evolution`` are the caller's graded construction of
@@ -1015,7 +1024,7 @@ def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
     tail estimate reads B's convergence from the same build: the largest
     change of B's Wynn value between the partial sums to K and to
     K - ``TAIL_STEP``.  A non-finite Wynn value makes the discrepancy and
-    the tail NaN or infinite, and so fails the check.
+    the tail NaN or infinite, and so fails the check against ``CROSS_TOLERANCE``.
     """
     from .system import build_embedding
 
@@ -1040,5 +1049,6 @@ def cross_validate_embeddings(transform, evolution, direct, tolerance=1e-12):
             du = _separated_sector(cu)
             for key in set(da) | set(du):
                 gap = _worse(gap, abs(float(da.get(key, 0)) - float(du.get(key, 0))))
+    tolerance = CROSS_TOLERANCE
     passed = worst <= tolerance and gap <= tolerance and tail <= tolerance
     return CrossCheck(passed, worst, gap, tail, order, eps_order, tolerance)

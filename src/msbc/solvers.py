@@ -1,20 +1,20 @@
 """Method-of-lines solvers for the microscale pair and the macroscale mean,
 the two models that ``msbc.system`` describes, in its solver units.
 
-The microscale pair has Dirichlet values at both ends.  The macroscale
-boundary closure is chosen by ``SolveConfig.bc_mode``: heuristic Dirichlet
-values, the derived nonlinear Robin condition (imposed in solver units, see
-``msbc.system.FIELD_SCALE``), or its linearisation.
+The microscale pair has Dirichlet values at both ends.  Each macroscale
+closure that ``SolveConfig.bc_mode`` picks is a relation pair C = S(Cx, u, v)
+imposed in solver units (``msbc.system.FIELD_SCALE``): the heuristic data
+mean, the derived nonlinear Robin condition, or its linearisation.
 
 Spatial derivatives are second-order central differences; time integration
 uses a variable-order implicit (BDF) scheme with the analytic banded
 Jacobian of the discrete right-hand side, whose constant part is also the
-microscale difference operator.  A Robin closure takes the end gradient
-from the three interior values nearest the end with the second-order
-one-sided stencil (Fornberg, Math. Comp. 51, 1988), Cx(0) = (-5 C1 + 8 C2
-- 3 C3) / (2 dx), mirrored at the right end, so the relation gives the end
-value explicitly: C0 = R + P Cx + Q Cx^2.  Right-hand side and Jacobian are
-pure functions of (t, y).
+microscale difference operator.  The closure takes the end gradient from
+the three interior values nearest the end with the second-order one-sided
+stencil (Fornberg, Math. Comp. 51, 1988), Cx(0) = (-5 C1 + 8 C2 - 3 C3) /
+(2 dx), mirrored at the right end, so the relation gives the end value
+explicitly: C0 = R + P Cx + Q Cx^2.  Right-hand side and Jacobian are pure
+functions of (t, y).
 
 Both solves run on ``solve_ivp``, a variable-order NDF/BDF integrator
 (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997; Byrne & Hindmarsh,
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import system
-from .boundary import BoundaryData, SolverError  # noqa: F401
+from .boundary import BoundaryData, SolverError, dirichlet_heuristic  # noqa: F401
 
 DEFAULT_WINDOW = (5.0, 25.0)
 _END_STENCIL = (-5.0, 8.0, -3.0)   # 2 dx times the left end gradient, on C_1, C_2, C_3
@@ -653,18 +653,17 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     (t, y): C_t = D_eff (C_xx - G2(C, C_x)) with D_eff and G2 derived by
     ``system.macro_model`` from D, V, X and K, G2 in solver units.
 
-    Returns ``(rhs, jac, ends)``.  ``ends(t, y)`` gives each end value with
-    its derivative in that end's gradient: the data mean under Dirichlet,
-    else R + P Cx + Q Cx^2 with the one-sided gradient of ``_end_gradient``.
+    Returns ``(rhs, jac, ends)`` for the relation pair in solver units.
+    ``ends(t, y)`` gives each end value with its derivative in that end's
+    gradient, R + P Cx + Q Cx^2 with the gradient of ``_end_gradient``.
     ``jac`` returns the (5, m) band of LAPACK order, kl = ku = 2 (see the
     module docstring): tridiagonal but for the end rows, which see their
     end value, and so the three interior values nearest it, through their
     outer neighbour.
     """
-    grid, data = cfg.grid, cfg.data
+    grid = cfg.grid
     n, dx = grid.n, grid.dx
     m = n - 1
-    robin = cfg.bc_mode != "dirichlet-heuristic"
     inv2dx = 1.0 / (2.0 * dx)
     invdx2 = 1.0 / (dx * dx)
     xs = grid.nodes()[1:n]
@@ -675,9 +674,6 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     cubic, transport = -d_eff * float(g2[3, 0]), -d_eff * float(g2[1, 1])
 
     def ends(t, y):
-        if not robin:
-            return ((0.5 * (data.a0(t) + data.b0(t)), 0.0),
-                    (0.5 * (data.aL(t) + data.bL(t)), 0.0))
         out = []
         for bc, cx in ((bc_left, _end_gradient(y[0], y[1], y[2], dx)),
                        (bc_right, -_end_gradient(y[-1], y[-2], y[-3], dx))):
@@ -723,23 +719,23 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
                      initial=None, source=None):
     """Integrate the mean-field model with the configured boundary closure.
 
-    ``bc_left``/``bc_right`` are the derived RobinBC pair, in the
-    derivation's variables, for the robin modes and ignored in dirichlet
-    mode, where the end values are the data means; ``robin-linearised``
-    takes their ``linearized()`` forms.  The pair is imposed in solver units
-    (``msbc.system.FIELD_SCALE``), and every snapshot must satisfy that imposed
-    relation, with the closure's one-sided gradient, to 1e-9.  ``source`` is
-    an optional manufactured forcing f(x, t) used by the verification tests.
+    The mode resolves here to one relation pair: dirichlet mode takes
+    ``dirichlet_heuristic(cfg.data)`` and ignores any pair passed; the robin
+    modes take the derived pair ``bc_left``/``bc_right``, in the derivation's
+    variables, and ``robin-linearised`` its ``linearized()`` forms.  The
+    pair is imposed in solver units (``msbc.system.FIELD_SCALE``), and every
+    snapshot must satisfy it, with the closure's one-sided gradient, to
+    1e-9.  ``source`` is an optional manufactured forcing f(x, t).
     """
     grid = cfg.grid
     n, dx = grid.n, grid.dx
-    robin = cfg.bc_mode != "dirichlet-heuristic"
-    if robin and (bc_left is None or bc_right is None):
+    if cfg.bc_mode == "dirichlet-heuristic":
+        bc_left, bc_right = dirichlet_heuristic(cfg.data)
+    elif bc_left is None or bc_right is None:
         raise ValueError("robin modes need both boundary conditions")
-    if cfg.bc_mode == "robin-linearised":
+    elif cfg.bc_mode == "robin-linearised":
         bc_left, bc_right = bc_left.linearized(), bc_right.linearized()
-    if robin:
-        bc_left, bc_right = (bc.rescaled(system.FIELD_SCALE) for bc in (bc_left, bc_right))
+    bc_left, bc_right = (bc.rescaled(system.FIELD_SCALE) for bc in (bc_left, bc_right))
     rhs, jac, ends = _macro_system(cfg, bc_left, bc_right, source)
 
     y0 = np.zeros(n - 1) if initial is None else _nodal(initial, n)[1:n]
@@ -752,15 +748,12 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
         C = np.empty(n + 1)
         C[1:n] = y
         (C[0], _), (C[n], _) = ends(t, y)
-        if robin:
-            for bc, cv, cx in ((bc_left, C[0], _end_gradient(C[1], C[2], C[3], dx)),
-                               (bc_right, C[n],
-                                -_end_gradient(C[n - 1], C[n - 2], C[n - 3], dx))):
-                res = abs(bc.residual(cv, cx, t))
-                if res > 1e-9:
-                    raise SolverError(
-                        "boundary relation unsatisfied at t=%.4g on the %s end "
-                        "(residual %.3e)" % (t, bc.side, res))
+        for bc, cv, cx in ((bc_left, C[0], _end_gradient(C[1], C[2], C[3], dx)),
+                           (bc_right, C[n], -_end_gradient(C[n - 1], C[n - 2], C[n - 3], dx))):
+            res = abs(bc.residual(cv, cx, t))
+            if res > 1e-9:
+                raise SolverError("boundary relation unsatisfied at t=%.4g on the %s end "
+                                  "(residual %.3e)" % (t, bc.side, res))
         traj.states.append(MacroState(C=C, t=t))
     return traj
 

@@ -24,11 +24,12 @@ def derivation(at_unity):
     data = reference_data()
     constraint = boundary.centre_stable_restriction(transform)
     reverted = boundary.revert_boundary(constraint)
+    bc_left, bc_right = boundary.robin_pair(boundary._left_relation(reverted), data)
     return {
         "constraint": constraint,
         "reverted": reverted,
-        "bc_left": boundary.assemble_left_bc(reverted, data),
-        "bc_right": boundary.assemble_right_bc(reverted, data),
+        "bc_left": bc_left,
+        "bc_right": bc_right,
         "data": data,
     }
 

@@ -178,12 +178,14 @@ def _mirror(terms):
 
 
 def test_reflection_is_an_involution(derivation):
-    rev = derivation["reverted"]
-    data = BoundaryData()
-    once = boundary.assemble_right_bc(rev, data)
-    left = boundary.assemble_left_bc(rev, data)
+    left, once = boundary.robin_pair(derivation["bc_left"].relation, BoundaryData())
     assert once.relation.terms == _mirror(left.relation.terms)
     assert _mirror(once.relation.terms) == left.relation.terms
+    # the heuristic closure is the data mean at both ends, by the same mirror
+    left, right = boundary.dirichlet_heuristic(BoundaryData())
+    assert right.relation.space.names == ("Cx", "aL", "bL")
+    assert right.relation.terms == _mirror(left.relation.terms)
+    assert right.relation.terms == {(0, 1, 0): F(1, 2), (0, 0, 1): F(1, 2)}
 
 
 def test_residual_exact_pair_and_reference_point(derivation):

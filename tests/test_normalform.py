@@ -256,6 +256,16 @@ def test_construct_rejects_low_order():
         normalform.construct(system.build_embedding("A"), order=1)
 
 
+@pytest.mark.parametrize("name", ("construct", "construct_dense"))
+def test_constructions_reject_a_negative_eps_order_before_any_work(monkeypatch, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no construction work may start on a negative eps order")
+
+    monkeypatch.setattr(normalform, "_frame", forbidden)
+    with pytest.raises(ValueError, match=r"^eps order must be non-negative$"):
+        getattr(normalform, name)(system.build_embedding("A"), 3, -1)
+
+
 def test_order_two_output():
     _, unity, _, _ = normalform.construct_at_unity(system.build_original(), order=2)
     assert unity[0] == TruncatedSeries.variable(unity.space, "s2")

@@ -380,7 +380,7 @@ def test_macro_rhs_is_the_derived_slow_flow_in_solver_units(monkeypatch):
         g2 = _slow_part(G[1], 3)
         assert g2 == flow and system.macro_model()[:2] == (d_eff, flow)
         rhs, _, _ = solvers._macro_system(SolveConfig(grid=grid, t_end=1.0, data=mean),
-                                          None, None, None)
+                                          *boundary.dirichlet_heuristic(mean), None)
         want = float(d_eff) * (Cxx - _in_solver_units(g2, C, Cx))
         assert np.allclose(rhs(0.0, C[1:-1]), want[1:-1], rtol=0.0, atol=1e-13)
 
@@ -409,13 +409,13 @@ def test_solver_units_do_not_depend_on_the_field_scale(monkeypatch):
     seen = []
     for scale in (3, 6):
         monkeypatch.setattr(system, "FIELD_SCALE", scale)
-        rhs, _, _ = solvers._macro_system(cfg, None, None, None)
+        rhs, _, _ = solvers._macro_system(cfg, *boundary.dirichlet_heuristic(mean), None)
         st = solvers.reconstruct_micro(MacroState(C=C, t=0.0), grid)
         seen.append(np.concatenate((rhs(0.0, C[1:-1]), st.a, st.b)))
     assert np.allclose(*seen, rtol=0.0, atol=1e-14)
 
 
-def _macro(mode, bcs=(None, None), source=None):
+def _macro(mode, bcs, source=None):
     cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=reference_data(),
                       bc_mode=mode)
     return cfg, solvers._macro_system(cfg, *bcs, source)
@@ -423,6 +423,7 @@ def _macro(mode, bcs=(None, None), source=None):
 
 def test_macro_dirichlet_jacobian_with_source():
     _, (rhs, jac, _) = _macro("dirichlet-heuristic",
+                              boundary.dirichlet_heuristic(reference_data()),
                               source=lambda x, t: 0.1 * np.sin(x) * (1.0 + t))
     y = _profile(31, 3)
     _assert_jacobian_matches(jac(2.0, y), rhs, 2.0, y)
@@ -485,9 +486,10 @@ def test_linearised_mode_linearises_the_derived_pair(derivation):
 
 
 def test_macro_robin_snapshot_violating_its_relation_is_an_error(monkeypatch):
-    # conditions C - Cx^2 = 0 and C + Cx^2 = 0 whose closure reads an R off
-    # by 1e-6: the end values then miss the relation by that much, and the
-    # snapshot check must refuse the state
+    # conditions C - Cx^2 = 0 and C + Cx^2 = 0, or in dirichlet mode the
+    # data mean, whose closure reads an R off by 1e-6: the end values then
+    # miss the relation by that much, and the snapshot check must refuse the
+    # state in every mode
     sp = Space(("Cx", "a0", "b0"), 2)
     quiet = (lambda t: 0.0, lambda t: 0.0)
     bcs = [boundary.RobinBC(TruncatedSeries(sp, {(2, 0, 0): F(q)}), side=side, data=quiet)
@@ -496,11 +498,12 @@ def test_macro_robin_snapshot_violating_its_relation_is_an_error(monkeypatch):
     monkeypatch.setattr(boundary.RobinBC, "coefficients_at",
                         lambda bc, t: (coefficients_at(bc, t)[0] + 1e-6,
                                        *coefficients_at(bc, t)[1:]))
-    cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=zero_data(),
-                      bc_mode="robin-derived")
-    with pytest.raises(SolverError, match=r"^boundary relation unsatisfied at t=1 on the "
-                                          r"left end \(residual 1\.000e-06\)"):
-        solvers.solve_macroscale(cfg, *bcs)
+    for mode in ("robin-derived", "dirichlet-heuristic"):
+        cfg = SolveConfig(grid=Grid1D(L=30.0, n=32), t_end=1.0, data=zero_data(),
+                          bc_mode=mode)
+        with pytest.raises(SolverError, match=r"^boundary relation unsatisfied at t=1 on the "
+                                              r"left end \(residual 1\.000e-06\)"):
+            solvers.solve_macroscale(cfg, *bcs)
 
 
 def _sweep_config(derivation, mode, n=300):
@@ -744,6 +747,15 @@ def test_robin_boundary_residual_after_steps(reference_run, derivation):
         cxr = (5.0 * C[-2] - 8.0 * C[-3] + 3.0 * C[-4]) / (2.0 * dx)
         assert abs(bcl.residual(C[0], cxl, st.t)) <= 1e-9
         assert abs(bcr.residual(C[-1], cxr, st.t)) <= 1e-9
+
+
+def test_dirichlet_end_values_are_the_data_means(reference_run, derivation):
+    # the heuristic relation C = u/2 + v/2 evaluates to the same float as
+    # the mean of the data pair, at every snapshot and both ends
+    data = derivation["data"]
+    for st in reference_run["dirichlet"].states:
+        assert st.C[0] == 0.5 * (data.a0(st.t) + data.b0(st.t))
+        assert st.C[-1] == 0.5 * (data.aL(st.t) + data.bL(st.t))
 
 
 def test_macro_robin_fields_do_not_depend_on_the_snapshot_set(derivation):
