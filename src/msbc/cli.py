@@ -406,7 +406,6 @@ def cmd_compare(scenario_file, out_dir, window=None):
     header = "%8s %20s %14s %14s %14s" % ("t", "mode", "Linf_mean", "L2_mean",
                                           "Linf_fields")
     push(header)
-    ratios = {}
     for t in scenario.snapshots:
         ms = micro.at(t)
         metrics = {}
@@ -418,11 +417,9 @@ def cmd_compare(scenario_file, out_dir, window=None):
         dir_inf = metrics["macro-dirichlet"].Linf_mean
         if dir_inf == 0.0:
             push("%8g %20s %14s" % (t, "ratio robin/dirichlet", "n/a"))
-            ratios[t] = None
         else:
             r = metrics["macro-robin"].Linf_mean / dir_inf
             push("%8g %20s %14.6f" % (t, "ratio robin/dirichlet", r))
-            ratios[t] = r
     push("")
     push("tool version: %s" % __version__)
     _write(os.path.join(out_dir, "%s_comparison.txt" % scenario.name),

@@ -19,21 +19,21 @@ functions of (t, y).
 Both solves run on ``solve_ivp``, a variable-order NDF/BDF integrator
 (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997; Byrne & Hindmarsh,
 ACM TOMS 1, 1975) transcribed from scipy's BDF for forward integration with
-a band Jacobian.  Each Jacobian is held in LAPACK band storage: with ``kl``
-sub- and ``ku`` super-diagonals, row ``ku + i - j`` of a (kl + ku + 1, m)
-array holds entry (i, j), and the corner entries that fall outside the
-matrix are unused.  The Newton matrix ``I - c J`` is kept in the same
-storage, factored by ``dgbtrf`` with partial pivoting, O(m) work per
-factorisation, and solved by ``dgbtrs``; a zero pivot raises ``SolverError``.
+a band Jacobian.  The band has one shape, fixed by the module and taken as
+no parameter: with kl = ku = 2 sub- and super-diagonals (``_KL``, ``_KU``),
+LAPACK band storage puts entry (i, j) in row ``2 + i - j`` of a (5, m)
+array, and the corner entries that fall outside the matrix are unused.  The
+Newton matrix ``I - c J`` is kept in the same storage, factored by
+``dgbtrf`` with partial pivoting, O(m) work per factorisation, and solved by
+``dgbtrs``; a zero pivot raises ``SolverError``.
 
-Both Jacobians are (5, m) bands, kl = ku = 2.  The macroscale one is
-tridiagonal but for its end rows, which see their end value's dependence on
-the three interior values nearest that end.  In the microscale pair each
-stream is tridiagonal and the exchange couples a_i with b_i.  Stored stream
-after stream, that coupling would sit m places off the diagonal; the
-unknowns are therefore interleaved as (a_1, b_1, a_2, b_2, ...), which
-brings it next to the diagonal and each stream's neighbours two places off
-it.
+Both Jacobians fill that band.  The macroscale one is tridiagonal but for
+its end rows, which see their end value's dependence on the three interior
+values nearest that end.  In the microscale pair each stream is tridiagonal
+and the exchange couples a_i with b_i.  Stored stream after stream, that
+coupling would sit m places off the diagonal; the unknowns are therefore
+interleaved as (a_1, b_1, a_2, b_2, ...), which brings it next to the
+diagonal and each stream's neighbours two places off it.
 
 The two LAPACK routines are called through ``ctypes``.  They come from the
 OpenBLAS that numpy's wheels bundle in ``numpy.libs``, which exports them as
@@ -56,6 +56,7 @@ from . import system
 from .boundary import BoundaryData, SolverError, dirichlet_heuristic  # noqa: F401
 
 DEFAULT_WINDOW = (5.0, 25.0)
+_KL = _KU = 2                      # the sub- and super-diagonals of every band
 _END_STENCIL = (-5.0, 8.0, -3.0)   # 2 dx times the left end gradient, on C_1, C_2, C_3
 
 _NUMPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
@@ -248,15 +249,14 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
 
 class _BandBDF:
     """Variable-order NDF/BDF integrator, forward in time, whose ``jac(t, y)``
-    returns the Jacobian as a band with ``band = (kl, ku)`` (see the module
+    returns the Jacobian as a (5, m) band, kl = ku = 2 (see the module
     docstring).  The stepping is scipy's BDF (1.17) operation for operation,
     so steps, counters and interpolants are scipy's on the same problem.  A
     zero pivot or a failed band solve raises ``SolverError`` naming t.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, jac, band):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, jac):
         self.t, self.t_bound = t0, t_bound
-        self.kl, self.ku = band
         self.nfev = self.njev = self.nlu = 0
 
         def counted_fun(t, y):
@@ -274,11 +274,11 @@ class _BandBDF:
         self.h_abs = _initial_step(self.fun, t0, y0, t_bound, f, self.rtol, atol)
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
         self.J = self.jac(t0, y0)
-        if self.J.shape != (self.kl + self.ku + 1, n):
+        if self.J.shape != (_KL + _KU + 1, n):
             raise ValueError("band Jacobian has shape %r, expected %r"
-                             % (self.J.shape, (self.kl + self.ku + 1, n)))
+                             % (self.J.shape, (_KL + _KU + 1, n)))
         self.I = np.zeros_like(self.J)
-        self.I[self.ku] = 1.0
+        self.I[_KU] = 1.0
         # zeros, as in scipy: the first step's D[3] = d - D[2] reads row 2 unset
         self.D = np.zeros((_MAX_ORDER + 3, n))
         self.D[0] = y0
@@ -293,7 +293,7 @@ class _BandBDF:
         self.lapack = _LAPACK
         self.n = n
         int_type = self.lapack.int_type
-        self._ints = (int_type * 6)(n, 1, self.kl, self.ku, 2 * self.kl + self.ku + 1, 0)
+        self._ints = (int_type * 6)(n, 1, _KL, _KU, 2 * _KL + _KU + 1, 0)
         self._n, self._one, self._kl, self._ku, self._ldab, self._info = (
             ctypes.byref(self._ints, k * ctypes.sizeof(int_type)) for k in range(6))
         self._ipiv_type = int_type * n
@@ -304,16 +304,16 @@ class _BandBDF:
 
     def _factor(self, A):
         """LU factors of the band matrix ``A``: ``dgbtrf`` factors a copy
-        with its kl extra rows for fill-in.  Returns the arrays that hold the
-        factors with the arguments of the band solve."""
+        with its ``_KL`` extra rows for fill-in.  Returns the arrays that hold
+        the factors with the arguments of the band solve."""
         self.nlu += 1
         n = self.n
-        if A.shape != (self.kl + self.ku + 1, n):
+        if A.shape != (_KL + _KU + 1, n):
             raise ValueError("band has shape %r, expected %r"
-                             % (A.shape, (self.kl + self.ku + 1, n)))
+                             % (A.shape, (_KL + _KU + 1, n)))
         ipiv = self._ipiv_type()
-        ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
-        ab[self.kl:] = A
+        ab = np.zeros((2 * _KL + _KU + 1, n), order="F")
+        ab[_KL:] = A
         # the transpose of the Fortran-ordered ab is C-contiguous;
         # (ab, ldab, ipiv) is a run of both dgbtrf's and dgbtrs's arguments
         lu = (_ref(ab.T), self._ldab, ctypes.byref(ipiv))
@@ -492,20 +492,22 @@ class IvpResult:
     nlu: int
     status: int               # 0 reached the end, -1 a step failed
     message: str
-    success: bool
 
 
-def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, jac, band):
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, jac):
     """Integrate ``dy/dt = fun(t, y)`` over ``t_span = (t0, tf)``, t0 < tf,
     with the band BDF and return the states at the times ``t_eval`` in
     [t0, tf].
 
-    ``jac(t, y)`` returns the Jacobian in LAPACK band storage with
-    ``band = (kl, ku)`` sub- and super-diagonals.  Raises ``ValueError`` on a
-    ``y0`` that is not 1-D and finite or on ``t_eval`` not strictly
-    increasing; a failed step ends the run with ``status`` -1.
+    ``jac(t, y)`` returns the Jacobian as a (5, m) LAPACK band, kl = ku = 2.
+    Raises ``ValueError``, before ``fun`` is first called, on t0 >= tf, on a
+    ``y0`` that is not 1-D and finite, on ``t_eval`` not strictly increasing
+    or on a time of ``t_eval`` outside [t0, tf]; a failed step ends the run
+    with ``status`` -1.
     """
     t0, tf = map(float, t_span)
+    if not t0 < tf:
+        raise ValueError("`t_span` must run forward: t0 < tf.")
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
         raise ValueError("`y0` must be 1-dimensional.")
@@ -514,8 +516,10 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, jac, band):
     t_eval = np.asarray(t_eval, dtype=float)
     if np.any(np.diff(t_eval) <= 0):
         raise ValueError("Values in `t_eval` are not properly sorted.")
+    if not np.all((t0 <= t_eval) & (t_eval <= tf)):
+        raise ValueError("Values in `t_eval` are not within `t_span`.")
 
-    solver = _BandBDF(fun, t0, y0, tf, rtol, atol, jac, band)
+    solver = _BandBDF(fun, t0, y0, tf, rtol, atol, jac)
     ts, ys = [], []
     reached = 0
     status = None
@@ -535,16 +539,16 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol, jac, band):
     return IvpResult(t=np.hstack(ts) if ts else np.empty(0),
                      y=np.hstack(ys) if ys else np.empty((y0.size, 0)),
                      t_last=solver.t, nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
-                     status=status, message=message, success=status >= 0)
+                     status=status, message=message)
 
 
-def _integrate(scale, cfg: SolveConfig, rhs, jac, y0, band):
+def _integrate(scale, cfg: SolveConfig, rhs, jac, y0):
     """``solve_ivp`` from y0 at t = 0 to the snapshot times of ``cfg``; a
     failed step raises ``SolverError`` naming the ``scale`` and the last
     time the integrator reached."""
     sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, t_eval=list(cfg.snapshots),
-                    rtol=cfg.rtol, atol=cfg.atol, jac=jac, band=band)
-    if not sol.success:
+                    rtol=cfg.rtol, atol=cfg.atol, jac=jac)
+    if sol.status < 0:
         raise SolverError("%s integration failed at t=%.4g: %s"
                           % (scale, sol.t_last, sol.message))
     return sol
@@ -629,7 +633,7 @@ def solve_microscale(cfg: SolveConfig, *, initial=None):
         y0[0::2] = _nodal(a0v, n)[1:n]
         y0[1::2] = _nodal(b0v, n)[1:n]
     rhs, jac = _micro_system(cfg)
-    sol = _integrate("microscale", cfg, rhs, jac, y0, (2, 2))
+    sol = _integrate("microscale", cfg, rhs, jac, y0)
 
     traj = FieldTrajectory(kind="micro", grid=grid)
     for k, t in enumerate(sol.t):
@@ -648,18 +652,19 @@ def _end_gradient(c1, c2, c3, dx):
 
 
 def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
-    """Right-hand side, analytic Jacobian and end values of the mean model
-    over the interior unknowns y = (C_1..C_{n-1}), each a pure function of
-    (t, y): C_t = D_eff (C_xx - G2(C, C_x)) with D_eff and G2 derived by
+    """Right-hand side, analytic Jacobian and closed nodal field of the mean
+    model over the interior unknowns y = (C_1..C_{n-1}), each a pure function
+    of (t, y): C_t = D_eff (C_xx - G2(C, C_x)) with D_eff and G2 derived by
     ``system.macro_model`` from D, V, X and K, G2 in solver units.
 
-    Returns ``(rhs, jac, ends)`` for the relation pair in solver units.
-    ``ends(t, y)`` gives each end value with its derivative in that end's
-    gradient, R + P Cx + Q Cx^2 with the gradient of ``_end_gradient``.
-    ``jac`` returns the (5, m) band of LAPACK order, kl = ku = 2 (see the
-    module docstring): tridiagonal but for the end rows, which see their
-    end value, and so the three interior values nearest it, through their
-    outer neighbour.
+    Returns ``(rhs, jac, field)`` for the relation pair in solver units.
+    ``field(t, y)`` closes both ends once: it returns the nodal field C, whose
+    end values are R + P Cx + Q Cx^2 with the one-sided gradient of
+    ``_end_gradient``, and per end the pair (Cx, dC_end/dCx).  ``rhs`` and
+    ``jac`` read C from it.  ``jac`` returns the (5, m) band of LAPACK order
+    (see the module docstring): tridiagonal but for the end rows, which see
+    their end value, and so the three interior values nearest it, through
+    their outer neighbour.
     """
     grid = cfg.grid
     n, dx = grid.n, grid.dx
@@ -673,24 +678,20 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
     d_eff, g2 = float(d_eff), system.solver_units(g2, system.FIELD_SCALE)
     cubic, transport = -d_eff * float(g2[3, 0]), -d_eff * float(g2[1, 1])
 
-    def ends(t, y):
-        out = []
-        for bc, cx in ((bc_left, _end_gradient(y[0], y[1], y[2], dx)),
-                       (bc_right, -_end_gradient(y[-1], y[-2], y[-3], dx))):
-            R, P, Q = bc.coefficients_at(t)
-            out.append((R + P * cx + Q * cx * cx, P + 2.0 * Q * cx))
-        return out
-
-    def nodal(y, c0, cn):
-        """The nodal field C, its interior and the central gradient there."""
+    def field(t, y):
         C = np.empty(n + 1)
         C[1:n] = y
-        C[0], C[n] = c0, cn
-        return C, C[1:n], (C[2:] - C[:-2]) * inv2dx
+        ends = []
+        for end, bc, cx in ((0, bc_left, _end_gradient(y[0], y[1], y[2], dx)),
+                            (n, bc_right, -_end_gradient(y[-1], y[-2], y[-3], dx))):
+            R, P, Q = bc.coefficients_at(t)
+            C[end] = R + P * cx + Q * cx * cx
+            ends.append((cx, P + 2.0 * Q * cx))
+        return C, ends
 
     def rhs(t, y):
-        (c0, _), (cn, _) = ends(t, y)
-        C, Ci, Cx = nodal(y, c0, cn)
+        C, _ = field(t, y)
+        Ci, Cx = C[1:n], (C[2:] - C[:-2]) * inv2dx
         Cxx = (C[2:] - 2.0 * Ci + C[:-2]) * invdx2
         dC = cubic * Ci ** 3 + transport * Ci * Cx + d_eff * Cxx
         if source is not None:
@@ -698,8 +699,8 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
         return dC
 
     def jac(t, y):
-        (c0, dl), (cn, dr) = ends(t, y)
-        _, Ci, Cx = nodal(y, c0, cn)
+        C, ((_, dl), (_, dr)) = field(t, y)
+        Ci, Cx = C[1:n], (C[2:] - C[:-2]) * inv2dx
         J = np.zeros((5, m))
         up, diag, lo = J[1, 1:], J[2], J[3, :-1]
         # the transport term's central gradient is (C_{i+1} - C_{i-1}) / (2 dx)
@@ -712,7 +713,7 @@ def _macro_system(cfg: SolveConfig, bc_left, bc_right, source):
         J[[2, 3, 4], [m - 1, m - 2, m - 3]] -= (d_eff * invdx2 + half * Ci[-1] / dx) * dr * stencil
         return J
 
-    return rhs, jac, ends
+    return rhs, jac, field
 
 
 def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
@@ -724,11 +725,12 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
     modes take the derived pair ``bc_left``/``bc_right``, in the derivation's
     variables, and ``robin-linearised`` its ``linearized()`` forms.  The
     pair is imposed in solver units (``msbc.system.FIELD_SCALE``), and every
-    snapshot must satisfy it, with the closure's one-sided gradient, to
-    1e-9.  ``source`` is an optional manufactured forcing f(x, t).
+    snapshot must satisfy it to 1e-9: the check reads the snapshot's nodal
+    field and one-sided end gradients off the closure's ``field``.
+    ``source`` is an optional manufactured forcing f(x, t).
     """
     grid = cfg.grid
-    n, dx = grid.n, grid.dx
+    n = grid.n
     if cfg.bc_mode == "dirichlet-heuristic":
         bc_left, bc_right = dirichlet_heuristic(cfg.data)
     elif bc_left is None or bc_right is None:
@@ -736,20 +738,16 @@ def solve_macroscale(cfg: SolveConfig, bc_left=None, bc_right=None, *,
     elif cfg.bc_mode == "robin-linearised":
         bc_left, bc_right = bc_left.linearized(), bc_right.linearized()
     bc_left, bc_right = (bc.rescaled(system.FIELD_SCALE) for bc in (bc_left, bc_right))
-    rhs, jac, ends = _macro_system(cfg, bc_left, bc_right, source)
+    rhs, jac, field = _macro_system(cfg, bc_left, bc_right, source)
 
     y0 = np.zeros(n - 1) if initial is None else _nodal(initial, n)[1:n]
-    sol = _integrate("macroscale", cfg, rhs, jac, y0, (2, 2))
+    sol = _integrate("macroscale", cfg, rhs, jac, y0)
 
     traj = FieldTrajectory(kind="macro", grid=grid)
     for k, t in enumerate(sol.t):
         t = float(t)
-        y = sol.y[:, k]
-        C = np.empty(n + 1)
-        C[1:n] = y
-        (C[0], _), (C[n], _) = ends(t, y)
-        for bc, cv, cx in ((bc_left, C[0], _end_gradient(C[1], C[2], C[3], dx)),
-                           (bc_right, C[n], -_end_gradient(C[n - 1], C[n - 2], C[n - 3], dx))):
+        C, ends = field(t, sol.y[:, k])
+        for bc, cv, (cx, _) in zip((bc_left, bc_right), (C[0], C[n]), ends):
             res = abs(bc.residual(cv, cx, t))
             if res > 1e-9:
                 raise SolverError("boundary relation unsatisfied at t=%.4g on the %s end "

@@ -226,7 +226,24 @@ def test_integrator_rejects_a_bad_initial_state_or_band():
                            (np.ones(4), 3, r"band Jacobian has shape \(3, 4\)")):
         with pytest.raises(ValueError, match=what):
             solvers.solve_ivp(f, (0.0, 1.0), y0, t_eval=[1.0], rtol=1e-6, atol=1e-6,
-                              jac=lambda t, y: -np.ones((rows, y.size)), band=(0, 0))
+                              jac=lambda t, y: -np.ones((rows, y.size)))
+
+
+def test_integrator_rejects_a_span_before_evaluating_anything():
+    # a reversed or empty span, or a time of t_eval outside it, once ended
+    # with status -1 or returned too few or extrapolated states
+    def never(t, y):
+        raise AssertionError("evaluated on a bad span")
+
+    for span, t_eval, what in (((1.0, 0.0), [0.5], "run forward"),
+                               ((1.0, 1.0), [1.0], "run forward"),
+                               ((0.0, math.nan), [0.5], "run forward"),
+                               ((0.0, 1.0), [0.5, 1.0, 2.0], "not within `t_span`"),
+                               ((0.0, 1.0), [-1.0, 0.5], "not within `t_span`"),
+                               ((0.0, 1.0), [math.nan], "not within `t_span`")):
+        with pytest.raises(ValueError, match=what):
+            solvers.solve_ivp(never, span, np.ones(4), t_eval=t_eval, rtol=1e-6,
+                              atol=1e-6, jac=never)
 
 
 def _band_diagonals(J, kl, ku):
@@ -246,10 +263,10 @@ def _band_to_csc(J, kl, ku):
     return sparse.diags_array(diagonals, offsets=offsets, format="csc")
 
 
-def _assert_jacobian_matches(J, rhs, t, y, band=(2, 2), h=1e-6):
-    """An analytic band Jacobian at (t, y) against a central difference of
-    the same right-hand side, to a relative 1e-6."""
-    J = _band_to_dense(J, *band)
+def _assert_jacobian_matches(J, rhs, t, y, h=1e-6):
+    """An analytic (5, m) band Jacobian at (t, y) against a central
+    difference of the same right-hand side, to a relative 1e-6."""
+    J = _band_to_dense(J, 2, 2)
     fd = np.empty_like(J)
     for k in range(len(y)):
         e = np.zeros_like(y)
@@ -434,18 +451,21 @@ def test_macro_robin_jacobian_and_explicit_end_values(derivation):
     # of the three interior values nearest each end, which puts entries two
     # places off the diagonal in the end rows
     bcs = derivation["bc_left"], derivation["bc_right"]
-    cfg, (rhs, jac, ends) = _macro("robin-derived", bcs)
+    cfg, (rhs, jac, field) = _macro("robin-derived", bcs)
     t, y, dx = 2.0, _profile(31, 4), cfg.grid.dx
     J = jac(t, y)
     _assert_jacobian_matches(J, rhs, t, y)
     assert J[0, 2] != 0.0 and J[4, -3] != 0.0
-    (c0, _), (cn, _) = ends(t, y)
-    cxl = (-5.0 * y[0] + 8.0 * y[1] - 3.0 * y[2]) / (2.0 * dx)
-    cxr = (5.0 * y[-1] - 8.0 * y[-2] + 3.0 * y[-3]) / (2.0 * dx)
-    assert abs(bcs[0].residual(c0, cxl, t)) <= 1e-15
-    assert abs(bcs[1].residual(cn, cxr, t)) <= 1e-15
+    C, ends = field(t, y)
+    (cxl, _), (cxr, _) = ends
+    assert np.array_equal(C[1:-1], y)
+    assert cxl == (-5.0 * y[0] + 8.0 * y[1] - 3.0 * y[2]) / (2.0 * dx)
+    assert cxr == (5.0 * y[-1] - 8.0 * y[-2] + 3.0 * y[-3]) / (2.0 * dx)
+    assert abs(bcs[0].residual(C[0], cxl, t)) <= 1e-15
+    assert abs(bcs[1].residual(C[-1], cxr, t)) <= 1e-15
     # pure functions of (t, y): no evaluation leaves a trace on the next
-    assert ends(t, y) == ends(t, y)
+    C2, ends2 = field(t, y)
+    assert np.array_equal(C2, C) and ends2 == ends
     assert np.array_equal(rhs(t, y), rhs(t, y)) and np.array_equal(jac(t, y), J)
 
 
@@ -517,11 +537,11 @@ def _sweep_config(derivation, mode, n=300):
 
 class _BandOracleBDF(scipy.integrate.BDF):
     """scipy's stock BDF with its Newton matrix ``I - c J`` held as the band
-    ``jac(t, y)`` returns (``band = (kl, ku)``) and factored by the same
-    LAPACK routines as the solvers' own integrator, which must reproduce its
-    every step."""
+    ``jac(t, y)`` returns (``band = (kl, ku)``, the solvers' (2, 2) unless
+    given) and factored by the same LAPACK routines as the solvers' own
+    integrator, which must reproduce its every step."""
 
-    def __init__(self, fun, t0, y0, t_bound, jac, band, **options):
+    def __init__(self, fun, t0, y0, t_bound, jac, band=(2, 2), **options):
         m = len(y0)
         # a constant sparse placeholder takes BDF's sparse branch, so it
         # never allocates a dense m x m identity, and leaves njev at 0
@@ -572,16 +592,16 @@ def test_band_solve_matches_sparse_lu_oracle(derivation, monkeypatch, mode):
     ours = solvers.solve_ivp
 
     def recorded(kind):
-        def ivp(fun, span, y0, *, jac, band, **kwargs):
+        def ivp(fun, span, y0, *, jac, **kwargs):
             if kind == "ours":
-                sol = ours(fun, span, y0, jac=jac, band=band, **kwargs)
+                sol = ours(fun, span, y0, jac=jac, **kwargs)
             elif kind == "band":
                 sol = scipy.integrate.solve_ivp(fun, span, y0, method=_BandOracleBDF,
-                                                jac=jac, band=band, **kwargs)
+                                                jac=jac, **kwargs)
             else:
                 sol = scipy.integrate.solve_ivp(
                     fun, span, y0, method="BDF", **kwargs,
-                    jac=lambda t, y: _band_to_csc(jac(t, y), *band))
+                    jac=lambda t, y: _band_to_csc(jac(t, y), 2, 2))
             counts.append((sol.nfev, sol.njev, sol.nlu))
             return sol
         return ivp
@@ -626,12 +646,12 @@ def test_both_solves_factor_their_bands(derivation, monkeypatch):
     assert micro_lu == micro_n > 0 and micro_shapes == {(5, 126)}
 
 
-def _band_solver(m=8, band=(1, 1)):
-    """The band BDF on dy/dt = -y, whose Jacobian band is -I."""
-    J = np.zeros((sum(band) + 1, m))
-    J[band[1]] = -1.0
+def _band_solver(m=8):
+    """The band BDF on dy/dt = -y, whose (5, m) Jacobian band is -I."""
+    J = np.zeros((5, m))
+    J[2] = -1.0
     return solvers._BandBDF(lambda t, y: -y, 0.0, np.ones(m), 1.0, 1e-3, 1e-6,
-                            jac=lambda t, y: J, band=band)
+                            jac=lambda t, y: J)
 
 
 def _on_each_lapack_source(monkeypatch, tmp_path, check):
@@ -648,17 +668,17 @@ def _on_each_lapack_source(monkeypatch, tmp_path, check):
     return results
 
 
-def _assert_band_solves(monkeypatch, tmp_path, band, seed):
-    """A random band system factored and solved on each LAPACK source: the
-    solution must be the same bits from both."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((sum(band) + 1, 8))
+def test_band_factor_solves_the_pentadiagonal_system(monkeypatch, tmp_path):
+    # a random band system factored and solved on each LAPACK source: the
+    # solution must be the same bits from both
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((5, 8))
     b = rng.standard_normal(8)
 
     def solve():
-        solver = _band_solver(band=band)
+        solver = _band_solver()
         x = solver._solve(solver._factor(A.copy()), b.copy())
-        np.testing.assert_allclose(_band_to_dense(A, *band) @ x, b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(_band_to_dense(A, 2, 2) @ x, b, rtol=1e-12, atol=1e-12)
         assert solver.nlu == 1
         return x
 
@@ -667,35 +687,19 @@ def _assert_band_solves(monkeypatch, tmp_path, band, seed):
         assert np.array_equal(x, first)
 
 
-def test_band_factor_solves_the_tridiagonal_system(monkeypatch, tmp_path):
-    _assert_band_solves(monkeypatch, tmp_path, (1, 1), 8)
-
-
-def test_band_factor_solves_the_pentadiagonal_system(monkeypatch, tmp_path):
-    _assert_band_solves(monkeypatch, tmp_path, (2, 2), 9)
-
-
-def _assert_rejects_singular_band(monkeypatch, tmp_path, band, routine):
-    A = np.zeros((sum(band) + 1, 8))
-    A[band[1]] = 1.0
-    A[band[1], 3] = 0.0             # column 3 is zero: exactly singular
+def test_band_factor_rejects_a_singular_pentadiagonal_band(monkeypatch, tmp_path):
+    # the microscale Newton matrix: a SolverError, so the command exits 2
+    A = np.zeros((5, 8))
+    A[2] = 1.0
+    A[2, 3] = 0.0                   # column 3 is zero: exactly singular
 
     def factor():
         with pytest.raises(SolverError) as err:
-            _band_solver(band=band)._factor(A.copy())
+            _band_solver()._factor(A.copy())
         return str(err.value)
 
     messages = _on_each_lapack_source(monkeypatch, tmp_path, factor).values()
-    assert set(messages) == {"singular Newton matrix at t=0 (%s info 4)" % routine}
-
-
-def test_band_factor_rejects_a_singular_band(monkeypatch, tmp_path):
-    _assert_rejects_singular_band(monkeypatch, tmp_path, (1, 1), "dgbtrf")
-
-
-def test_band_factor_rejects_a_singular_pentadiagonal_band(monkeypatch, tmp_path):
-    # the microscale Newton matrix: a SolverError, so the command exits 2
-    _assert_rejects_singular_band(monkeypatch, tmp_path, (2, 2), "dgbtrf")
+    assert set(messages) == {"singular Newton matrix at t=0 (dgbtrf info 4)"}
 
 
 def test_numpy_wheels_supply_the_lapack():
@@ -726,11 +730,11 @@ def test_integrator_starts_from_zeroed_differences():
 
 def test_band_factor_rejects_arrays_of_the_wrong_shape():
     # the routines get raw pointers, so the sizes are checked first
-    solver = _band_solver(band=(1, 1))
-    with pytest.raises(ValueError, match=r"band has shape \(3, 7\)"):
-        solver._factor(np.ones((3, 7)))
-    A = np.ones((3, 8))
-    A[1] = 4.0
+    solver = _band_solver()
+    with pytest.raises(ValueError, match=r"band has shape \(5, 7\)"):
+        solver._factor(np.ones((5, 7)))
+    A = np.ones((5, 8))
+    A[2] = 6.0                      # diagonally dominant
     lu = solver._factor(A)
     with pytest.raises(ValueError, match=r"shape \(7,\) into shape \(8,\)"):
         solver._solve(lu, np.ones(7))
