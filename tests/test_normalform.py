@@ -669,7 +669,7 @@ def test_mul_slice_deletes_and_reinserts_cancelled_keys():
 # entries, leftovers and retained terms.  Any change to the slice kernel
 # must leave every float sum and every insertion order as it is.
 CONSTRUCTIONS_SHA256 = (
-    "03bca84fa109b4c29819e64b733e48ecd1f15d8cdc593b059179debe3389b1cb")
+    "538e5ed167c790ce5279a9bfda10efd855e7e5c0fce1977ebe3999827cba26ed")
 
 
 def _constructions_digest():
@@ -679,15 +679,17 @@ def _constructions_digest():
         h.update(repr(value).encode())
         h.update(b"\n")
 
-    for variant in ("A", "B"):
-        emb = system.build_embedding(variant)
-        for order, eps_order in ((3, 48), (2, 48), (4, 10), (3, 6)):
-            transform, evolution, report = normalform.construct(
-                emb, order=order, eps_order=eps_order)
-            for vec in (transform.series, evolution.series):
-                for comp in vec:
-                    feed(list(comp.terms.items()))
-            feed(report.entries)
+    cases = [(variant, order, eps_order) for variant in ("A", "B")
+             for order, eps_order in ((3, 48), (2, 48), (4, 10), (3, 6))]
+    # embedding A at order 5 and the default cap: the exact lane's largest build
+    cases.append(("A", 5, normalform.DEFAULT_EPS_ORDER))
+    for variant, order, eps_order in cases:
+        transform, evolution, report = normalform.construct(
+            system.build_embedding(variant), order=order, eps_order=eps_order)
+        for vec in (transform.series, evolution.series):
+            for comp in vec:
+                feed(list(comp.terms.items()))
+        feed(report.entries)
     # orders from 4 on have knob writes into the slice below the current degree
     for order in range(2, 8):
         T, G, leftovers, retained = normalform.construct_at_unity(
