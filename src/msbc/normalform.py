@@ -57,10 +57,15 @@ spectrum).  The parameter-1 view solves its coupled kernel slots with
 
 A slice (one component's terms of one degree) is a dict while a step still
 writes it, and is frozen once it is finished: packed into a list of
-``(key, coef, sdeg, edeg)`` terms that replaces the dict.  Products read the
-packed terms directly, and the derivative of a stored transform slice is
-built once per variable, at its first use, and reused at every later
-degree.  In the graded view a slice is finished when it is stored.  In the
+``(key, num, sdeg, edeg)`` terms over one denominator ``den`` (the lcm of
+the dict's denominators) that replaces the dict.  So the products multiply
+and add ints: each degree's residual is accumulated as integer numerators
+over one denominator and projected in ints, and only the projected values,
+which the solve, the normalisation and the series read, are Fractions.  On
+embedding B's float lane the floats are their own numerators over 1, so one
+code path serves both lanes.  Products read the packed terms directly, and
+the derivative of a stored transform slice is built once per variable, at
+its first use, and reused at every later degree.  In the graded view a slice is finished when it is stored.  In the
 parameter-1 view the knob step of degree d writes into the transform slice
 of degree d-1 after the degree-d residual has read it, so that slice is
 frozen again after the write; the packing the residual read is dropped.
@@ -98,9 +103,9 @@ class ConstructionRefused(ValueError):
 # packed-exponent slice arithmetic (construction internals)
 #
 # A slice is a dict {packed key: coef} while a step writes it and a frozen
-# ``_Slice`` once it is finished (see the module docstring).  Products read
-# frozen slices; a transient dict, such as a knob's unit slice, is packed
-# where it is used.
+# ``_Slice`` of numerators over one denominator once it is finished (see the
+# module docstring).  Products read frozen slices; a transient dict, such as
+# a knob's unit slice, is packed where it is used.
 
 _SHIFTS = (0, 4, 8, 12, 16)
 
@@ -121,24 +126,45 @@ def _decode4(key):
 
 
 class _Slice(list):
-    """A frozen slice: (key, coef, sdeg, edeg) terms in insertion order, the
-    largest state and parameter degrees, and the derivative per state
-    variable, built on first use."""
+    """A frozen slice: (key, num, sdeg, edeg) terms in insertion order over
+    the one denominator ``den``, the largest state and parameter degrees, and
+    the derivative per state variable, built on first use."""
 
-    __slots__ = ("smax", "emax", "derivs")
+    __slots__ = ("den", "smax", "emax", "derivs")
 
-    def __init__(self, terms):
+    def __init__(self, den, terms):
         super().__init__(terms)
+        self.den = den
         self.smax = max((t[2] for t in self), default=0)
         self.emax = max((t[3] for t in self), default=0)
         self.derivs = None
 
 
+def _ratio(c):
+    """(numerator, denominator) of a coefficient; a float (embedding B's
+    lane) is its own numerator over 1."""
+    return (c, 1) if isinstance(c, float) else (c.numerator, c.denominator)
+
+
+def _value(num, den):
+    """The coefficient num/den: a Fraction, or a float numerator itself."""
+    return num if isinstance(num, float) else Fraction(num, den)
+
+
+def _over_lcm(coefs):
+    """``(nums, den)``: the coefficients as numerators over the lcm of their
+    denominators (floats stay the same objects, over 1)."""
+    ratios = [_ratio(c) for c in coefs]
+    den = math.lcm(*(q for _, q in ratios))
+    return [n if q == den else n * (den // q) for n, q in ratios], den
+
+
 def _pack(d):
     """Freeze the dict slice ``d``."""
-    return _Slice([(k, c,
-                    (k & 15) + ((k >> 4) & 15) + ((k >> 8) & 15) + ((k >> 12) & 15),
-                    k >> 16) for k, c in d.items()])
+    nums, den = _over_lcm(d.values())
+    return _Slice(den, [(k, n,
+                         (k & 15) + ((k >> 4) & 15) + ((k >> 8) & 15) + ((k >> 12) & 15),
+                         k >> 16) for k, n in zip(d, nums)])
 
 
 def _freeze(slices):
@@ -147,7 +173,8 @@ def _freeze(slices):
 
 def _mul_slice(p1, p2, order, eps_order, out, scale=1):
     """Accumulate scale·p1·p2 into the dict ``out``, dropping products
-    beyond the caps.
+    beyond the caps.  Numerators only: the caller's ``scale`` puts the
+    product over the denominator of ``out``.
 
     Exponents stay below 8 (``order`` <= 7), so packed keys add without carry
     and a product is admissible exactly when ``k2`` fits the budget that
@@ -191,8 +218,8 @@ def _derivative(p, j):
         sh = _SHIFTS[j]
         unit = 1 << sh
         # at exponent 1 share the coefficient: c * 1 would store a copy
-        dp = p.derivs[j] = _Slice([(k - unit, c if m == 1 else c * m, s - 1, e)
-                                   for k, c, s, e in p if (m := (k >> sh) & 15)])
+        dp = p.derivs[j] = _Slice(p.den, [(k - unit, c if m == 1 else c * m, s - 1, e)
+                                          for k, c, s, e in p if (m := (k >> sh) & 15)])
     return dp
 
 
@@ -206,26 +233,30 @@ def _linear_slices(t1, mu):
 
 
 def _homological_residual(T, G, quad, N, d, order, eps_order):
-    """Degree-d part of F(T) - DT·G from the slices below degree d.
+    """Degree-d part of F(T) - DT·G from the slices below degree d, as
+    ``(R, L)``: integer numerators over the one denominator L (floats over 1
+    on embedding B's lane).
 
     Per state component: the quadratic products, then the parameter shift
-    of T[d-1] by the matrix ``N`` (when given), then the -DT·G terms.  Every
+    of T[d-1] by the matrix ``N`` (when given), then the -DT·G terms.  L is
+    the lcm of each product's denominator d1·d2·(scale denominator), so each
+    product is accumulated with the integer scale that puts it over L.  Every
     slice of ``T`` and ``G`` is frozen; the derivative of a T slice is built
     at its first use and reused at every later degree.
     """
-    R = [{} for _ in range(4)]
+    products = []  # (component, p1, p2 or None for the shift, scale)
     for c in range(4):
         for (i, j, coef) in quad[c]:
             for e in range(1, d):
                 Ti, Tj = T.get(e), T.get(d - e)
                 if Ti and Tj:
-                    _mul_slice(Ti[i], Tj[j], order, eps_order, R[c], coef)
+                    products.append((c, Ti[i], Tj[j], coef))
     below = T.get(d - 1) if N is not None else None
     if below:
         for c in range(4):
             for k in range(4):
                 if N[c][k] != 0 and below[k]:
-                    _shift_eps(below[k], eps_order, R[c], N[c][k])
+                    products.append((c, below[k], None, N[c][k]))
     for e in range(2, d):
         Te, Gk = T.get(e), G.get(d + 1 - e)
         if not Te or not Gk:
@@ -233,9 +264,18 @@ def _homological_residual(T, G, quad, N, d, order, eps_order):
         for c in range(4):
             for j in range(4):
                 if Gk[j]:
-                    _mul_slice(_derivative(Te[c], j), Gk[j], order, eps_order,
-                               R[c], -1)
-    return R
+                    products.append((c, _derivative(Te[c], j), Gk[j], -1))
+    ratios = [_ratio(scale) for *_, scale in products]
+    dens = [p1.den * (p2.den if p2 is not None else 1) * sd
+            for (_, p1, p2, _), (_, sd) in zip(products, ratios)]
+    L = math.lcm(*dens)
+    R = [{} for _ in range(4)]
+    for (c, p1, p2, _), (sn, _), q in zip(products, ratios, dens):
+        if p2 is None:
+            _shift_eps(p1, eps_order, R[c], sn * (L // q))
+        else:
+            _mul_slice(p1, p2, order, eps_order, R[c], sn * (L // q))
+    return R, L
 
 
 def _pinned(m3, m4):
@@ -276,21 +316,32 @@ def _assemble(slices, space, decode):
         terms = {}
         for slc in slices.values():
             for key, coef, _, _ in slc[c]:
-                terms[decode(key)] = coef
+                terms[decode(key)] = _value(coef, slc[c].den)
         comps.append(TruncatedSeries(space, terms))
     return SeriesVector(comps)
 
 
-def _in_normal_coords(R, t1inv):
-    """Rows of t1inv·R, one per monomial key, in first-seen key order."""
+def _projector(t1inv):
+    """``t1inv`` as numerator rows over one denominator D, for
+    ``_in_normal_coords``."""
+    nums, D = _over_lcm([x for row in t1inv for x in row])
+    return [nums[4 * i:4 * i + 4] for i in range(4)], D
+
+
+def _in_normal_coords(R, L, proj):
+    """Rows of t1inv·R, one per monomial key, in first-seen key order, from
+    the residual numerators over L and the ``_projector`` numerators over D:
+    summed as numerators and returned as values over D·L."""
+    t1inv, D = proj
     rows = {}
     for c in range(4):
         for key, v in R[c].items():
-            row = rows.setdefault(key, [Fraction(0)] * 4)
+            row = rows.setdefault(key, [0] * 4)
             for i in range(4):
                 if t1inv[i][c] != 0:
                     row[i] = row[i] + t1inv[i][c] * v
-    return rows
+    den = D * L
+    return {key: [_value(x, den) for x in row] for key, row in rows.items()}
 
 
 def _dot(row, vec):
@@ -460,6 +511,7 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
     if eps_order is None:
         eps_order = DEFAULT_EPS_ORDER
     _, mu, t1, t1inv, content, quad, N = _frame(system, collapsed=False)
+    proj = _projector(t1inv)
 
     T1, G1 = _linear_slices(t1, mu)
     T, G = {1: _freeze(T1)}, {1: _freeze(G1)}
@@ -470,14 +522,14 @@ def construct(system: SpatialSystem, order=3, eps_order=None):
 
     d = 2
     while d <= max_total and d <= 2 * top + 1:
-        R = _homological_residual(T, G, quad, N, d, order, eps_order)
+        R, L = _homological_residual(T, G, quad, N, d, order, eps_order)
         keys = set()
         for c in range(4):
             keys.update(R[c])
         if keys:
             psi = [{} for _ in range(4)]
             g = [{} for _ in range(4)]
-            rows = _in_normal_coords(R, t1inv)
+            rows = _in_normal_coords(R, L, proj)
             for key in keys:
                 rvals = rows[key]
                 m3, m4 = (key >> 8) & 15, (key >> 12) & 15
@@ -740,6 +792,7 @@ def construct_at_unity(system: SpatialSystem, order=3):
     if nil != expected or nil[0][1] == 0:
         raise ConstructionRefused("collapsed linear part is not in Jordan-aligned form")
     h = nil[0][1]
+    proj = _projector(t1inv)
 
     T1, G1 = _linear_slices(t1, mu)
     G1[0][1 << _SHIFTS[1]] = h  # d s1/dx = s2 at linear order
@@ -761,15 +814,15 @@ def construct_at_unity(system: SpatialSystem, order=3):
 
     def knob_influence(j, key, d):
         phi = [_pack({key: t1[c][j]} if t1[c][j] != 0 else {}) for c in range(4)]
-        R = _homological_residual({1: T[1], d - 1: phi}, G, quad, None, d, order, 0)
-        return _in_normal_coords(R, t1inv)
+        R, L = _homological_residual({1: T[1], d - 1: phi}, G, quad, None, d, order, 0)
+        return _in_normal_coords(R, L, proj)
 
     leftovers = []
     retained = []
     pending = []
     for d in range(2, order + 1):
-        rvec = _in_normal_coords(_homological_residual(T, G, quad, None, d, order, 0),
-                                 t1inv)
+        rvec = _in_normal_coords(*_homological_residual(T, G, quad, None, d, order, 0),
+                                 proj)
 
         def rget(i, key):
             row = rvec.get(key)

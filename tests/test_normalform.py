@@ -597,6 +597,27 @@ def _random_slice(rng, order, eps_top, size, exact=True):
     return out
 
 
+def _mul_packed(d1, d2, order, eps_order, out, scale, exact):
+    """``_mul_slice`` on the packings of ``d1`` and ``d2`` as the residual
+    calls it, accumulated into ``out``: returns the packings and ``out``.
+
+    Exact slices hold integer numerators, so ``out`` and every product go
+    over one denominator L, with the integer scale that puts the product
+    there, and ``out`` is read back as ``Fraction(num, L)``.  Float slices
+    are their own numerators over 1 and run as they are."""
+    p1, p2 = normalform._pack(d1), normalform._pack(d2)
+    if not exact:
+        normalform._mul_slice(p1, p2, order, eps_order, out, scale)
+        return p1, p2, out
+    scale = F(scale)
+    q = p1.den * p2.den * scale.denominator
+    L = math.lcm(q, *(c.denominator for c in out.values()))
+    nums = {k: c.numerator * (L // c.denominator) for k, c in out.items()}
+    normalform._mul_slice(p1, p2, order, eps_order, nums, scale.numerator * (L // q))
+    assert all(type(n) is int for n in nums.values())
+    return p1, p2, {k: F(n, L) for k, n in nums.items()}
+
+
 def _paths(p1, p2, order, eps_order):
     """Which paths ``_mul_slice`` takes: (whole larger slice, filtered)."""
     if len(p1) > len(p2):
@@ -617,20 +638,20 @@ def _check_random_products(rng, exact, cases, degree_of):
         scale = rng.choice((1, -1, F(3, 2) if exact else 1.1))
         ref = dict(out)
         _mul_slice_nested(d1, d2, order, eps_order, ref, scale)
-        p1, p2 = normalform._pack(d1), normalform._pack(d2)
+        p1, p2, out = _mul_packed(d1, d2, order, eps_order, out, scale, exact)
         if p1 and p2:
             whole, filtered = _paths(p1, p2, order, eps_order)
             seen[0] += whole
             seen[1] += filtered
-        normalform._mul_slice(p1, p2, order, eps_order, out, scale)
         _same_slices(out, ref)
     return seen
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_mul_slice_matches_nested_loop_on_random_slices(exact):
-    # exact slices cancel often (deletion and re-insertion order); float
-    # slices with an inexact scale pin the (c1·scale)·c2 rounding
+    # exact slices cancel often (deletion and re-insertion order), and their
+    # integer numerators over one denominator must give the Fraction sums;
+    # float slices with an inexact scale pin the (c1·scale)·c2 rounding
     rng = random.Random(11)
     _check_random_products(rng, exact, 300,
                            lambda rng, order, eps_order: (order, eps_order + 2))
@@ -654,12 +675,13 @@ def test_mul_slice_deletes_and_reinserts_cancelled_keys():
     # s1·s2 re-inserts it at the end, after the keys inserted in between
     s1, s2 = normalform._encode((1, 0, 0, 0)), normalform._encode((0, 1, 0, 0))
     one = normalform._encode((0, 0, 0, 0))
-    d1 = {s1: F(1), one: F(2)}
-    d2 = {s2: F(1), s1 + s2: F(-1, 2)}
-    for out in ({s1 + s2: F(-1), 2 * s1: F(3)}, {s1 + s2: -1.0, 2 * s1: 3.0}):
+    for exact, kind in ((True, F), (False, float)):
+        d1 = {s1: kind(1), one: kind(2)}
+        d2 = {s2: kind(1), s1 + s2: kind(F(-1, 2))}
+        out = {s1 + s2: kind(-1), 2 * s1: kind(3)}
         ref = dict(out)
         _mul_slice_nested(d1, d2, 3, 0, ref)
-        normalform._mul_slice(normalform._pack(d1), normalform._pack(d2), 3, 0, out)
+        _, _, out = _mul_packed(d1, d2, 3, 0, out, 1, exact)
         _same_slices(out, ref)
         assert list(out) == [2 * s1, 2 * s1 + s2, s2, s1 + s2] and out[s1 + s2] == -1
 
@@ -721,3 +743,54 @@ def test_each_frozen_slice_is_differentiated_once_per_variable(monkeypatch):
     normalform.construct_at_unity(system.build_original(), order=5)
     assert len({(id(p), j) for p, j in built}) == len(built)
     assert len(calls) > 2 * len(built)
+
+
+def test_exact_slices_hold_integer_numerators_over_one_denominator(monkeypatch):
+    # the construction kernel multiplies and adds ints: a Fraction left in a
+    # frozen slice or a residual would bring Fraction arithmetic back into
+    # every product, with the same outputs
+    real_pack, real_residual = normalform._pack, normalform._homological_residual
+    packed, residuals = [], []
+
+    def pack(d):
+        p = real_pack(d)
+        packed.append((dict(d), p))
+        return p
+
+    def residual(*args):
+        R, L = real_residual(*args)
+        residuals.append((R, L))
+        return R, L
+
+    monkeypatch.setattr(normalform, "_pack", pack)
+    monkeypatch.setattr(normalform, "_homological_residual", residual)
+    normalform.construct(system.build_embedding("A"), order=3)
+    normalform.construct_at_unity(system.build_original(), order=5)
+    exact, exact_residuals = packed[:], residuals[:]
+    del packed[:]
+    normalform.construct(system.build_embedding("B"), order=3, eps_order=6)
+
+    for d, p in exact:
+        nums = [t[1] for t in p]
+        assert [t[0] for t in p] == list(d)
+        assert all(type(n) is int for n in nums)
+        assert p.den == math.lcm(*(c.denominator for c in d.values()))
+        assert math.gcd(p.den, *nums) == 1
+        assert [F(n, p.den) for n in nums] == list(d.values())
+        for dp in p.derivs or ():
+            if dp is not None:
+                assert dp.den == p.den and all(type(t[1]) is int for t in dp)
+    assert any(not d and p.den == 1 for d, p in exact)
+    assert any(p.den > 1 for _, p in exact)
+    assert any(p.derivs for _, p in exact)
+    for R, L in exact_residuals:
+        assert type(L) is int and L >= 1
+        assert all(type(v) is int for comp in R for v in comp.values())
+    assert any(L > 1 and any(R) for R, L in exact_residuals)
+
+    assert packed and all(p.den == 1 for _, p in packed)
+    assert any(d for d, _ in packed)
+    for d, p in packed:
+        assert [t[0] for t in p] == list(d)
+        assert all(t[1] is c for t, c in zip(p, d.values()))
+        assert all(isinstance(c, float) for c in d.values())
