@@ -8,15 +8,15 @@ linear part is diagonalisable with eigenvalues {0, 0, -mu, +mu}, and
 
 The graded view expands in the embedding parameter, treated as an extra
 zero-eigenvalue variable with its own cap.  Residual monomials with nonzero
-divisor m·lambda - lambda_j (an exact integer-multiple test, valid even when
-mu is irrational) are removed into T; zero-divisor monomials stay in G and
-are recorded in the resonance report.  Resonant transform coefficients are
-fixed by one normalisation: each separated coordinate is exactly what its
-coordinate-map row reads off the transform (so the slow manifold keeps the
-mean field and its gradient as parameters), and all other kernel
-coefficients are zero.  With this normalisation the resonant sector mixing
-both fast variables retains formal cross terms; they are surfaced in the
-report, and their parameter series do not resum.
+divisor m·lambda - lambda_j (an exact integer-multiple test) are removed into
+T; zero-divisor monomials stay in G and are recorded in the resonance
+report.  Resonant transform coefficients are fixed by one normalisation:
+each separated coordinate is exactly what its coordinate-map row reads off
+the transform (so the slow manifold keeps the mean field and its gradient as
+parameters), and all other kernel coefficients are zero.  With this
+normalisation the resonant sector mixing both fast variables retains formal
+cross terms; they are surfaced in the report, and their parameter series do
+not resum.
 
 The parameter-1 view resolves that sector.  At parameter value 1 every
 embedding collapses to the same unembedded system, whose zero eigenvalue is
@@ -32,7 +32,8 @@ the separated sector, in ``cross_validate_embeddings``: embedding A's
 parameter series terminate and sum exactly onto it, and embedding B's,
 which do not, are resummed by Wynn's epsilon-algorithm on their partial
 sums to the cap, with the change over the last few parameter degrees as
-the estimate of what the cap leaves out.  There B's graded view comes from
+the estimate of what the cap leaves out.  B's base rates are irrational, so
+``construct``, which is exact only, refuses it; its graded view comes from
 ``construct_dense``: the same construction in floats, one state degree at
 a time, with every coefficient held on a dense parameter axis, so products
 of lower degrees are truncated convolutions and the same-degree couplings
@@ -51,9 +52,9 @@ three constructions, ``_lift`` maps solved coefficients back to the state
 and ``_assemble`` turns the slices into series.  All three take their
 linear set-up from ``_frame``: one ``linalg.eigen`` call, the map-aligned
 columns, their inverse and map-row content, the quadratic terms and the
-coupling, on the one lane it picks (exact, or float for an irrational
-spectrum).  The parameter-1 view solves its coupled kernel slots with
-``linalg.solve``.
+coupling, exact, or in floats for an irrational spectrum, which only
+``construct_dense`` accepts.  The parameter-1 view solves its coupled kernel
+slots with ``linalg.solve``.
 
 A slice (one component's terms of one degree) is a dict while a step still
 writes it, and is frozen once it is finished: packed into a list of
@@ -61,14 +62,14 @@ writes it, and is frozen once it is finished: packed into a list of
 the dict's denominators) that replaces the dict.  So the products multiply
 and add ints: each degree's residual is accumulated as integer numerators
 over one denominator and projected in ints, and only the projected values,
-which the solve, the normalisation and the series read, are Fractions.  On
-embedding B's float lane the floats are their own numerators over 1, so one
-code path serves both lanes.  Products read the packed terms directly, and
-the derivative of a stored transform slice is built once per variable, at
-its first use, and reused at every later degree.  In the graded view a slice is finished when it is stored.  In the
-parameter-1 view the knob step of degree d writes into the transform slice
-of degree d-1 after the degree-d residual has read it, so that slice is
-frozen again after the write; the packing the residual read is dropped.
+which the solve, the normalisation and the series read, are Fractions.
+Products read the packed terms directly, and the derivative of a stored
+transform slice is built once per variable, at its first use, and reused at
+every later degree.  In the graded view a slice is finished when it is
+stored.  In the parameter-1 view the knob step of degree d writes into the
+transform slice of degree d-1 after the degree-d residual has read it, so
+that slice is frozen again after the write; the packing the residual read is
+dropped.
 """
 
 from __future__ import annotations
@@ -140,23 +141,11 @@ class _Slice(list):
         self.derivs = None
 
 
-def _ratio(c):
-    """(numerator, denominator) of a coefficient; a float (embedding B's
-    lane) is its own numerator over 1."""
-    return (c, 1) if isinstance(c, float) else (c.numerator, c.denominator)
-
-
-def _value(num, den):
-    """The coefficient num/den: a Fraction, or a float numerator itself."""
-    return num if isinstance(num, float) else Fraction(num, den)
-
-
 def _over_lcm(coefs):
     """``(nums, den)``: the coefficients as numerators over the lcm of their
-    denominators (floats stay the same objects, over 1)."""
-    ratios = [_ratio(c) for c in coefs]
-    den = math.lcm(*(q for _, q in ratios))
-    return [n if q == den else n * (den // q) for n, q in ratios], den
+    denominators."""
+    den = math.lcm(*(c.denominator for c in coefs))
+    return [c.numerator * (den // c.denominator) for c in coefs], den
 
 
 def _pack(d):
@@ -180,8 +169,8 @@ def _mul_slice(p1, p2, order, eps_order, out, scale=1):
     and a product is admissible exactly when ``k2`` fits the budget that
     ``k1`` leaves.  The larger operand is used whole when its largest degrees
     fit that budget, and is otherwise filtered once per budget, keeping its
-    order: the pairs are visited in the nested-loop order, so float sums and
-    the insertion order of ``out`` do not change.
+    order: the pairs are visited in the nested-loop order, so the insertion
+    order of ``out`` does not change.
     """
     if not p1 or not p2:
         return
@@ -234,8 +223,7 @@ def _linear_slices(t1, mu):
 
 def _homological_residual(T, G, quad, N, d, order, eps_order):
     """Degree-d part of F(T) - DT·G from the slices below degree d, as
-    ``(R, L)``: integer numerators over the one denominator L (floats over 1
-    on embedding B's lane).
+    ``(R, L)``: integer numerators over the one denominator L.
 
     Per state component: the quadratic products, then the parameter shift
     of T[d-1] by the matrix ``N`` (when given), then the -DT·G terms.  L is
@@ -265,16 +253,15 @@ def _homological_residual(T, G, quad, N, d, order, eps_order):
             for j in range(4):
                 if Gk[j]:
                     products.append((c, _derivative(Te[c], j), Gk[j], -1))
-    ratios = [_ratio(scale) for *_, scale in products]
-    dens = [p1.den * (p2.den if p2 is not None else 1) * sd
-            for (_, p1, p2, _), (_, sd) in zip(products, ratios)]
+    dens = [p1.den * (p2.den if p2 is not None else 1) * scale.denominator
+            for _, p1, p2, scale in products]
     L = math.lcm(*dens)
     R = [{} for _ in range(4)]
-    for (c, p1, p2, _), (sn, _), q in zip(products, ratios, dens):
+    for (c, p1, p2, scale), q in zip(products, dens):
         if p2 is None:
-            _shift_eps(p1, eps_order, R[c], sn * (L // q))
+            _shift_eps(p1, eps_order, R[c], scale.numerator * (L // q))
         else:
-            _mul_slice(p1, p2, order, eps_order, R[c], sn * (L // q))
+            _mul_slice(p1, p2, order, eps_order, R[c], scale.numerator * (L // q))
     return R, L
 
 
@@ -316,7 +303,7 @@ def _assemble(slices, space, decode):
         terms = {}
         for slc in slices.values():
             for key, coef, _, _ in slc[c]:
-                terms[decode(key)] = _value(coef, slc[c].den)
+                terms[decode(key)] = Fraction(coef, slc[c].den)
         comps.append(TruncatedSeries(space, terms))
     return SeriesVector(comps)
 
@@ -341,7 +328,7 @@ def _in_normal_coords(R, L, proj):
                 if t1inv[i][c] != 0:
                     row[i] = row[i] + t1inv[i][c] * v
     den = D * L
-    return {key: [_value(x, den) for x in row] for key, row in rows.items()}
+    return {key: [Fraction(x, den) for x in row] for key, row in rows.items()}
 
 
 def _dot(row, vec):
@@ -355,7 +342,7 @@ def _dot(row, vec):
 class ResonanceEntry:
     component: int          # 1-based normal-form component
     monomial: tuple          # exponents over NF_VARS
-    divisor: object          # m·lambda - lambda_j (exact when mu is rational)
+    divisor: Fraction        # m·lambda - lambda_j
     disposition: str         # "kept-in-G" | "removed-into-T"
 
 
@@ -405,11 +392,12 @@ def _frame(system: SpatialSystem, collapsed):
     ``content[i][j]`` is map row i read off column j (rows · t1): a unit
     diagonal by construction, and its slow 2x2 block the identity (checked).
 
-    The one lane switch: a rational mu keeps every entry an exact Fraction.
-    An irrational pair (embedding B) comes from ``linalg.eigen`` as floats,
-    so the frame goes float: kernel and map rows through ``float()``,
-    ``t1`` scaled by 1.0 and inverted by numpy.  The collapsed view solves
-    and checks its Jordan form exactly, so it refuses that lane.
+    A rational mu keeps every entry an exact Fraction.  An irrational pair
+    (embedding B) comes from ``linalg.eigen`` as floats, so the frame goes
+    float: kernel and map rows through ``float()``, ``t1`` scaled by 1.0 and
+    inverted by numpy.  Only ``construct_dense`` reads that frame: the
+    collapsed view solves and checks its Jordan form exactly, and
+    ``construct`` builds term by term in exact arithmetic, so both refuse it.
     """
     refusal = ("collapsed " if collapsed else "") + "spectrum outside the handled family"
     try:
@@ -504,13 +492,18 @@ def check_eps_order(eps_order):
 
 
 def construct(system: SpatialSystem, order=3, eps_order=None):
-    """Graded view of an embedding: build (transform, evolution,
-    ResonanceReport), the first two as ``GradedSeries``."""
+    """Graded view of an embedding, exact, term by term: build (transform,
+    evolution, ResonanceReport), the first two as ``GradedSeries``.  An
+    irrational spectrum (embedding B at the reference model) is refused;
+    ``construct_dense`` builds it in floats."""
     check_order(order)
     check_eps_order(eps_order)
     if eps_order is None:
         eps_order = DEFAULT_EPS_ORDER
     _, mu, t1, t1inv, content, quad, N = _frame(system, collapsed=False)
+    if not isinstance(mu, Fraction):
+        raise ConstructionRefused("irrational spectrum: the term-by-term construction "
+                                  "is exact; construct_dense builds it in floats")
     proj = _projector(t1inv)
 
     T1, G1 = _linear_slices(t1, mu)
@@ -671,8 +664,9 @@ def construct_dense(system: SpatialSystem, order=3, eps_order=None):
     ``(T, G)``, each ``{s: array (M_s, 4, K + 1)}`` over the monomials of
     ``_monomials(s)``, components and parameter degrees 0..K.
 
-    The same coefficients as ``construct`` (which builds them exactly, or in
-    floats term by term), built state degree by state degree.  Products of
+    The same coefficients as ``construct``, built state degree by state
+    degree; the one graded construction that takes an irrational spectrum
+    (embedding B's), which ``construct``, exact only, refuses.  Products of
     lower state degrees are truncated convolutions along the parameter axis;
     the same-degree couplings, N·T(s, e-1), DT(s)·G(1, >= 1) and
     DT(1, >= 1)·G(s), run as a recurrence in e (at s = 1 the last two are
@@ -1061,10 +1055,10 @@ def cross_validate_embeddings(transform, evolution, direct):
     embedding A; ``direct`` is the (transform, evolution) pair that
     ``construct_at_unity`` built at the same order.  Only embedding B's
     graded view is built here, at A's ``order`` and ``eps_order`` (K), by
-    ``construct_dense``: in floats on a dense parameter axis, always, so
-    that B costs a few convolutions instead of a term-by-term build.  Its
-    accumulation order is fixed and uses no matrix product or pairwise sum,
-    so the report's float lines are the same on every CPU.
+    ``construct_dense``: in floats on a dense parameter axis, at every
+    model, rational or not.  Its accumulation order is fixed and uses no
+    matrix product or pairwise sum, so the report's float lines are the
+    same on every CPU.
 
     A's parameter series terminate (at degree 10 at order 3), so A is
     resummed exactly by ``TruncatedSeries.grading_at_one``: each state
@@ -1073,7 +1067,8 @@ def cross_validate_embeddings(transform, evolution, direct):
     not terminate; each separated-sector monomial of B is resummed by
     ``wynn_epsilon`` on its partial sums over parameter degree 0..K (a
     ``cumsum`` along its row).  The separated sectors are compared
-    coefficientwise with each other and A with the parameter-1 pair.  The
+    coefficientwise with each other, and A with the parameter-1 pair as
+    Fractions, so the gap is exact before it is rounded to a float.  The
     tail estimate reads B's convergence from the same build: the largest
     change of B's Wynn value between the partial sums to K and to
     K - ``TAIL_STEP``.  A non-finite Wynn value makes the discrepancy and
@@ -1101,7 +1096,7 @@ def cross_validate_embeddings(transform, evolution, direct):
                 worst = _worse(worst, abs(float(da.get(key, 0)) - float(db.get(key, 0))))
             du = _separated_sector(cu)
             for key in set(da) | set(du):
-                gap = _worse(gap, abs(float(da.get(key, 0)) - float(du.get(key, 0))))
+                gap = _worse(gap, float(abs(da.get(key, 0) - du.get(key, 0))))
     tolerance = CROSS_TOLERANCE
     passed = worst <= tolerance and gap <= tolerance and tail <= tolerance
     return CrossCheck(passed, worst, gap, tail, order, eps_order, tolerance)

@@ -3,11 +3,10 @@
 All symbolic work in the derivation pipeline happens on these series.  A
 series is a dictionary mapping exponent tuples to coefficients, truncated so
 that no stored monomial exceeds the caps of the owning :class:`Space`.
-Coefficients are :class:`fractions.Fraction`; the same code path accepts
-floats, which reach a series only through :meth:`TruncatedSeries.evaluate`
-at float points (``RobinBC.residual``) and through the term-by-term build of
-embedding B, whose irrational eigenvalues put it on the float lane (the
-tests keep it as the reference of the dense build).
+Coefficients are :class:`fractions.Fraction`, and a float coefficient is
+refused.  Floats reach a series only as the points that
+:meth:`TruncatedSeries.evaluate` and :meth:`TruncatedSeries.evaluate_horner`
+read (``RobinBC.residual``), where they give a float value.
 
 A monomial is an exponent tuple aligned with ``space.names``.  The canonical
 term order is lexicographic on exponent tuples, which keeps serialised
@@ -34,7 +33,7 @@ class ReversionError(SeriesError):
 
 
 def coerce_coeff(value):
-    if isinstance(value, (Fraction, float)):
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -222,9 +221,7 @@ class TruncatedSeries:
             c = coerce_coeff(other)
             if c == 0:
                 return TruncatedSeries.zero(self.space)
-            # a float product can underflow to zero, which is not stored
-            return TruncatedSeries._raw(self.space, {e: p for e, v in self.terms.items()
-                                                     if (p := v * c) != 0})
+            return TruncatedSeries._raw(self.space, {e: v * c for e, v in self.terms.items()})
         sp = self.space.meet(other.space)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -242,7 +239,7 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, float)):
-            return self.terms == TruncatedSeries.constant(self.space, other).terms
+            return self.terms == ({(0,) * len(self.space.names): other} if other != 0 else {})
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.space.same_vars(other.space) and self.terms == other.terms
@@ -255,9 +252,9 @@ class TruncatedSeries:
 
     def grading_at_one(self):
         """Set the grading variable to 1: each state monomial's coefficients
-        are summed over the grading powers in stored term order (which fixes
-        the rounding of float coefficients), and a sum that cancels to zero
-        is dropped.  The result keeps this space, grading exponent 0."""
+        are summed over the grading powers in stored term order, and a sum
+        that cancels to zero is dropped.  The result keeps this space,
+        grading exponent 0."""
         gi = self.space.gidx
         if gi is None:
             raise SeriesError("space has no grading variable")
@@ -349,10 +346,11 @@ class TruncatedSeries:
         return TruncatedSeries._raw(target, out)
 
     def _point(self, point):
+        """The point's coordinates: exact, or floats as they are."""
         names = self.space.names
         if isinstance(point, Mapping):
-            return [coerce_coeff(point.get(n, 0)) for n in names]
-        vals = [coerce_coeff(v) for v in point]
+            point = [point.get(n, 0) for n in names]
+        vals = [v if isinstance(v, float) else coerce_coeff(v) for v in point]
         if len(vals) != len(names):
             raise SeriesError("point has %d entries for %d variables" % (len(vals), len(names)))
         return vals
@@ -406,8 +404,6 @@ class TruncatedSeries:
         (lexicographic) term order."""
         lines = []
         for e, c in self.sorted_terms():
-            if not isinstance(c, Fraction):
-                raise SeriesError("only exact series serialise to text")
             lines.append("%d/%d %s" % (c.numerator, c.denominator, " ".join(map(str, e))))
         return lines
 

@@ -22,6 +22,10 @@ from msbc import normalform, system
 from msbc.normalform import ConstructionRefused
 from msbc.series import SeriesVector, Space, TruncatedSeries
 
+# exchange 4/3 is the mu^2 = 1 model (D, V, X, K = 3, 1, 4/3, 1/2): there
+# embedding B's base rates are +-4/3, so ``construct`` builds B exactly
+UNIT_RATE_EXCHANGE = F(4, 3)
+
 
 def against_printed(computed, printed):
     printed = printed.strip()
@@ -204,6 +208,17 @@ def test_construct_refuses_defective_linear_part():
         normalform.construct(system.build_original(), order=3)
 
 
+def test_construct_refuses_an_irrational_spectrum_before_any_slice_work(monkeypatch):
+    # embedding B's base rates at the reference model are +-sqrt(6)/3: the
+    # term-by-term construction is exact, so it refuses them at once
+    def forbidden(*args):
+        raise AssertionError("no slice work may start on an irrational spectrum")
+
+    monkeypatch.setattr(normalform, "_homological_residual", forbidden)
+    with pytest.raises(ConstructionRefused, match="^irrational spectrum"):
+        normalform.construct(system.build_embedding("B"), order=3, eps_order=8)
+
+
 def test_construct_at_unity_refuses_a_diagonalisable_zero_eigenvalue():
     # embedding A's double zero eigenvalue has two eigenvectors, no Jordan step
     with pytest.raises(ConstructionRefused):
@@ -367,6 +382,19 @@ def test_cross_validation_identity_and_orders(constructed, at_unity):
     assert "%.6e" % lower.max_discrepancy == "3.552714e-15"
 
 
+def test_resummation_gap_is_compared_exactly(constructed, at_unity):
+    # A's resummed sector and the parameter-1 pair are both Fractions: a
+    # shift of 1e-20, which vanishes in a float difference, is the gap
+    transform, evolution, _ = constructed
+    unity = at_unity[0]
+    key = next(e for e in sorted(unity[0].terms) if min(e[2], e[3]) == 0)
+    shifted = dict(unity[0].terms)
+    shifted[key] += F(1, 10 ** 20)
+    bumped = SeriesVector([TruncatedSeries(unity.space, shifted), *unity[1:]])
+    cc = normalform.cross_validate_embeddings(transform, evolution, (bumped, at_unity[1]))
+    assert cc.resummation_gap == float(F(1, 10 ** 20))
+
+
 def _against_graded(dense, graded):
     """The dense arrays against every coefficient of a graded pair: the
     largest |dense - c| over 1e-13·max(1, |c|) plus one unit in the last
@@ -392,15 +420,18 @@ def _against_graded(dense, graded):
 
 
 @pytest.mark.parametrize("order,eps_order", ((2, 36), (3, 8), (3, 36), (4, 10)))
-def test_dense_b_matches_the_term_by_term_build(order, eps_order):
+def test_dense_b_matches_the_term_by_term_build(monkeypatch, order, eps_order):
+    # at the mu^2 = 1 model B's term-by-term build is exact: the dense floats
+    # are checked against exact coefficients
+    monkeypatch.setattr(system, "EXCHANGE", UNIT_RATE_EXCHANGE)
     emb = system.build_embedding("B")
     dense = normalform.construct_dense(emb, order=order, eps_order=eps_order)
     transform, evolution, _ = normalform.construct(emb, order=order, eps_order=eps_order)
     assert [sorted(half) for half in dense] == [list(range(1, order + 1))] * 2
     worst, absent = _against_graded(dense, (transform, evolution))
     assert worst <= 1
-    # terms the term-by-term build cancels to exact zero: the mirrored
-    # a <-> b sums that cancel there keep a few units in the last place here
+    # terms the exact build cancels to zero: the mirrored a <-> b sums that
+    # cancel there keep a few units in the last place here
     assert absent <= 2e-15
 
 
@@ -413,33 +444,44 @@ def test_dense_a_matches_the_exact_build(constructed):
     assert absent <= 1e-13
 
 
-@pytest.mark.parametrize("order,eps_order", ((3, 8), (4, 10)))
-def test_fast_pins_hold_map_rows_3_and_4_on_embedding_b(order, eps_order):
-    # B's map rows 3-4 are not left eigenvectors of its base matrix, so only
-    # the pin of the resonant fast component keeps s3 (s4) the stable
-    # (unstable) amplitude: map row 3 (4) reads 0 off every transform term of
-    # state degree >= 2 at s3 (s4) times a power of s3·s4
-    emb = system.build_embedding("B")
-    rows = [[float(x) for x in r] for r in system.coordinate_map().rows]
-    transform, _, _ = normalform.construct(emb, order=order, eps_order=eps_order)
-    dense, _ = normalform.construct_dense(emb, order=order, eps_order=eps_order)
-    checked = {2: 0, 3: 0}
-
-    def check(m, coefs):
+def _fast_pin_reads(monomials):
+    """Map row 3 (4) read off every transform term of state degree >= 2 at
+    s3 (s4) times a power of s3·s4, from ``(monomial, coefficients)`` pairs:
+    per row, the lists of products row entry × coefficient."""
+    rows = system.coordinate_map().rows
+    reads = {2: [], 3: []}
+    for m, coefs in monomials:
         k = {1: 2, -1: 3}.get(m[2] - m[3])
         if k is not None and sum(m[:4]) >= 2 and any(coefs):
-            parts = [r * float(v) for r, v in zip(rows[k], coefs)]
-            assert abs(sum(parts)) <= 1e-13 * max(map(abs, parts)), (k, m)
-            checked[k] += 1
+            reads[k].append([r * v for r, v in zip(rows[k], coefs)])
+    return reads
 
-    comps = transform.series
-    for e in set().union(*(comp.terms for comp in comps)):
-        check(e, [comp.terms.get(e, 0) for comp in comps])
-    for s, coefs in dense.items():
-        for m, block in zip(normalform._monomials(s)[0], coefs):
-            for column in block.T:
-                check(m, column)
-    assert min(checked.values()) > 20
+
+@pytest.mark.parametrize("order,eps_order", ((3, 8), (4, 10)))
+def test_fast_pins_hold_map_rows_3_and_4_on_embedding_b(monkeypatch, order, eps_order):
+    # B's map rows 3-4 are not left eigenvectors of its base matrix, so only
+    # the pin of the resonant fast component keeps s3 (s4) the stable
+    # (unstable) amplitude: map row 3 (4) reads 0 off each such term.  The
+    # dense build at the reference model reads 0 to rounding
+    dense, _ = normalform.construct_dense(system.build_embedding("B"), order=order,
+                                          eps_order=eps_order)
+    reads = _fast_pin_reads((m, [float(v) for v in column]) for s, coefs in dense.items()
+                            for m, block in zip(normalform._monomials(s)[0], coefs)
+                            for column in block.T)
+    for k, terms in reads.items():
+        assert len(terms) > 20
+        assert all(abs(sum(parts)) <= 1e-13 * max(map(abs, parts)) for parts in terms), k
+    # and the exact build at the mu^2 = 1 model reads exactly 0, where the
+    # row combines more than one nonzero coefficient, so the pin does work
+    monkeypatch.setattr(system, "EXCHANGE", UNIT_RATE_EXCHANGE)
+    comps = normalform.construct(system.build_embedding("B"), order=order,
+                                 eps_order=eps_order)[0].series
+    reads = _fast_pin_reads((e, [comp.terms.get(e, 0) for comp in comps])
+                            for e in set().union(*(comp.terms for comp in comps)))
+    for k, terms in reads.items():
+        assert len(terms) > 20
+        assert all(sum(parts) == 0 for parts in terms), k
+        assert any(sum(p != 0 for p in parts) > 1 for parts in terms), k
 
 
 @pytest.mark.parametrize("ratio", (0.5, -0.7, 0.38, 0.9))
@@ -562,8 +604,9 @@ def _unpacked(p):
 
 
 def test_mul_slice_matches_nested_loop_on_construction_slices(monkeypatch):
-    # every product of embedding B's graded construction and of the exact
-    # parameter-1 construction is run through both routines and compared
+    # every product of the parameter-1 construction and of embedding B's
+    # graded construction at the mu^2 = 1 model is run through both routines
+    # and compared
     fast = normalform._mul_slice
     pairs = []
 
@@ -575,12 +618,13 @@ def test_mul_slice_matches_nested_loop_on_construction_slices(monkeypatch):
         pairs.append(len(p1) * len(p2))
 
     monkeypatch.setattr(normalform, "_mul_slice", checked)
-    normalform.construct(system.build_embedding("B"), order=3, eps_order=8)
     normalform.construct_at_unity(system.build_original(), order=3)
+    monkeypatch.setattr(system, "EXCHANGE", UNIT_RATE_EXCHANGE)
+    normalform.construct(system.build_embedding("B"), order=3, eps_order=8)
     assert len(pairs) > 500 and max(pairs) > 100
 
 
-def _random_slice(rng, order, eps_top, size, exact=True):
+def _random_slice(rng, order, eps_top, size):
     out = {}
     for _ in range(size):
         e = []
@@ -590,25 +634,18 @@ def _random_slice(rng, order, eps_top, size, exact=True):
             budget -= e[-1]
         rng.shuffle(e)
         key = normalform._encode(tuple(e) + (rng.randrange(eps_top + 1),))
-        if exact:
-            out[key] = F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
-        else:
-            out[key] = rng.uniform(-1.0, 1.0)
+        out[key] = F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
     return out
 
 
-def _mul_packed(d1, d2, order, eps_order, out, scale, exact):
+def _mul_packed(d1, d2, order, eps_order, out, scale):
     """``_mul_slice`` on the packings of ``d1`` and ``d2`` as the residual
     calls it, accumulated into ``out``: returns the packings and ``out``.
 
-    Exact slices hold integer numerators, so ``out`` and every product go
+    Packed slices hold integer numerators, so ``out`` and every product go
     over one denominator L, with the integer scale that puts the product
-    there, and ``out`` is read back as ``Fraction(num, L)``.  Float slices
-    are their own numerators over 1 and run as they are."""
+    there, and ``out`` is read back as ``Fraction(num, L)``."""
     p1, p2 = normalform._pack(d1), normalform._pack(d2)
-    if not exact:
-        normalform._mul_slice(p1, p2, order, eps_order, out, scale)
-        return p1, p2, out
     scale = F(scale)
     q = p1.den * p2.den * scale.denominator
     L = math.lcm(q, *(c.denominator for c in out.values()))
@@ -626,19 +663,19 @@ def _paths(p1, p2, order, eps_order):
     return any(fits), not all(fits)
 
 
-def _check_random_products(rng, exact, cases, degree_of):
+def _check_random_products(rng, cases, degree_of):
     seen = [0, 0]
     for _ in range(cases):
         order = rng.randrange(2, 8)
         eps_order = rng.randrange(0, 6)
         sdeg, etop = degree_of(rng, order, eps_order)
-        d1 = _random_slice(rng, sdeg, etop, rng.randrange(0, 12), exact)
-        d2 = _random_slice(rng, sdeg, etop, rng.randrange(0, 12), exact)
-        out = _random_slice(rng, order, eps_order, rng.randrange(0, 8), exact)
-        scale = rng.choice((1, -1, F(3, 2) if exact else 1.1))
+        d1 = _random_slice(rng, sdeg, etop, rng.randrange(0, 12))
+        d2 = _random_slice(rng, sdeg, etop, rng.randrange(0, 12))
+        out = _random_slice(rng, order, eps_order, rng.randrange(0, 8))
+        scale = rng.choice((1, -1, F(3, 2)))
         ref = dict(out)
         _mul_slice_nested(d1, d2, order, eps_order, ref, scale)
-        p1, p2, out = _mul_packed(d1, d2, order, eps_order, out, scale, exact)
+        p1, p2, out = _mul_packed(d1, d2, order, eps_order, out, scale)
         if p1 and p2:
             whole, filtered = _paths(p1, p2, order, eps_order)
             seen[0] += whole
@@ -647,18 +684,14 @@ def _check_random_products(rng, exact, cases, degree_of):
     return seen
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_mul_slice_matches_nested_loop_on_random_slices(exact):
-    # exact slices cancel often (deletion and re-insertion order), and their
-    # integer numerators over one denominator must give the Fraction sums;
-    # float slices with an inexact scale pin the (c1·scale)·c2 rounding
+def test_mul_slice_matches_nested_loop_on_random_slices():
+    # the slices cancel often (deletion and re-insertion order), and their
+    # integer numerators over one denominator must give the Fraction sums
     rng = random.Random(11)
-    _check_random_products(rng, exact, 300,
-                           lambda rng, order, eps_order: (order, eps_order + 2))
+    _check_random_products(rng, 300, lambda rng, order, eps_order: (order, eps_order + 2))
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_mul_slice_whole_and_filtered_paths(exact):
+def test_mul_slice_whole_and_filtered_paths():
     # low-degree operands often fit the whole budget, so the larger slice is
     # used unfiltered for some of its partners and filtered for others
     rng = random.Random(5)
@@ -666,7 +699,7 @@ def test_mul_slice_whole_and_filtered_paths(exact):
     def low(rng, order, eps_order):
         return rng.randrange(order // 2 + 1), rng.randrange(eps_order + 1)
 
-    whole, filtered = _check_random_products(rng, exact, 400, low)
+    whole, filtered = _check_random_products(rng, 400, low)
     assert whole > 50 and filtered > 50
 
 
@@ -675,23 +708,22 @@ def test_mul_slice_deletes_and_reinserts_cancelled_keys():
     # s1·s2 re-inserts it at the end, after the keys inserted in between
     s1, s2 = normalform._encode((1, 0, 0, 0)), normalform._encode((0, 1, 0, 0))
     one = normalform._encode((0, 0, 0, 0))
-    for exact, kind in ((True, F), (False, float)):
-        d1 = {s1: kind(1), one: kind(2)}
-        d2 = {s2: kind(1), s1 + s2: kind(F(-1, 2))}
-        out = {s1 + s2: kind(-1), 2 * s1: kind(3)}
-        ref = dict(out)
-        _mul_slice_nested(d1, d2, 3, 0, ref)
-        _, _, out = _mul_packed(d1, d2, 3, 0, out, 1, exact)
-        _same_slices(out, ref)
-        assert list(out) == [2 * s1, 2 * s1 + s2, s2, s1 + s2] and out[s1 + s2] == -1
+    d1 = {s1: F(1), one: F(2)}
+    d2 = {s2: F(1), s1 + s2: F(-1, 2)}
+    out = {s1 + s2: F(-1), 2 * s1: F(3)}
+    ref = dict(out)
+    _mul_slice_nested(d1, d2, 3, 0, ref)
+    _, _, out = _mul_packed(d1, d2, 3, 0, out, 1)
+    _same_slices(out, ref)
+    assert list(out) == [2 * s1, 2 * s1 + s2, s2, s1 + s2] and out[s1 + s2] == -1
 
 
-# sha256 over the graded constructions of both embeddings and the
-# parameter-1 construction: term order, coefficient reprs, resonance
-# entries, leftovers and retained terms.  Any change to the slice kernel
-# must leave every float sum and every insertion order as it is.
+# sha256 over the graded constructions of embedding A, of embedding B at the
+# mu^2 = 1 model and the parameter-1 construction: term order, coefficient
+# reprs, resonance entries, leftovers and retained terms.  Any change to the
+# slice kernel must leave every coefficient and every insertion order as it is.
 CONSTRUCTIONS_SHA256 = (
-    "538e5ed167c790ce5279a9bfda10efd855e7e5c0fce1977ebe3999827cba26ed")
+    "0420ca8a1e15694816340e107d5a4b5c9908739098c3a5a8c487e9844495eef6")
 
 
 def _constructions_digest():
@@ -701,17 +733,22 @@ def _constructions_digest():
         h.update(repr(value).encode())
         h.update(b"\n")
 
-    cases = [(variant, order, eps_order) for variant in ("A", "B")
-             for order, eps_order in ((3, 48), (2, 48), (4, 10), (3, 6))]
-    # embedding A at order 5 and the default cap: the exact lane's largest build
-    cases.append(("A", 5, normalform.DEFAULT_EPS_ORDER))
-    for variant, order, eps_order in cases:
+    def graded(variant, order, eps_order):
         transform, evolution, report = normalform.construct(
             system.build_embedding(variant), order=order, eps_order=eps_order)
         for vec in (transform.series, evolution.series):
             for comp in vec:
                 feed(list(comp.terms.items()))
         feed(report.entries)
+
+    for order, eps_order in ((3, 48), (2, 48), (4, 10), (3, 6)):
+        graded("A", order, eps_order)
+    # embedding A at order 5 and the default cap: the largest build
+    graded("A", 5, normalform.DEFAULT_EPS_ORDER)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system, "EXCHANGE", UNIT_RATE_EXCHANGE)
+        for order, eps_order in ((3, 8), (4, 10)):
+            graded("B", order, eps_order)
     # orders from 4 on have knob writes into the slice below the current degree
     for order in range(2, 8):
         T, G, leftovers, retained = normalform.construct_at_unity(
@@ -739,8 +776,9 @@ def test_each_frozen_slice_is_differentiated_once_per_variable(monkeypatch):
         return real(p, j)
 
     monkeypatch.setattr(normalform, "_derivative", spy)
-    normalform.construct(system.build_embedding("B"), order=3, eps_order=8)
     normalform.construct_at_unity(system.build_original(), order=5)
+    monkeypatch.setattr(system, "EXCHANGE", UNIT_RATE_EXCHANGE)
+    normalform.construct(system.build_embedding("B"), order=3, eps_order=8)
     assert len({(id(p), j) for p, j in built}) == len(built)
     assert len(calls) > 2 * len(built)
 
@@ -766,11 +804,10 @@ def test_exact_slices_hold_integer_numerators_over_one_denominator(monkeypatch):
     monkeypatch.setattr(normalform, "_homological_residual", residual)
     normalform.construct(system.build_embedding("A"), order=3)
     normalform.construct_at_unity(system.build_original(), order=5)
-    exact, exact_residuals = packed[:], residuals[:]
-    del packed[:]
+    monkeypatch.setattr(system, "EXCHANGE", UNIT_RATE_EXCHANGE)
     normalform.construct(system.build_embedding("B"), order=3, eps_order=6)
 
-    for d, p in exact:
+    for d, p in packed:
         nums = [t[1] for t in p]
         assert [t[0] for t in p] == list(d)
         assert all(type(n) is int for n in nums)
@@ -780,17 +817,10 @@ def test_exact_slices_hold_integer_numerators_over_one_denominator(monkeypatch):
         for dp in p.derivs or ():
             if dp is not None:
                 assert dp.den == p.den and all(type(t[1]) is int for t in dp)
-    assert any(not d and p.den == 1 for d, p in exact)
-    assert any(p.den > 1 for _, p in exact)
-    assert any(p.derivs for _, p in exact)
-    for R, L in exact_residuals:
+    assert any(not d and p.den == 1 for d, p in packed)
+    assert any(p.den > 1 for _, p in packed)
+    assert any(p.derivs for _, p in packed)
+    for R, L in residuals:
         assert type(L) is int and L >= 1
         assert all(type(v) is int for comp in R for v in comp.values())
-    assert any(L > 1 and any(R) for R, L in exact_residuals)
-
-    assert packed and all(p.den == 1 for _, p in packed)
-    assert any(d for d, _ in packed)
-    for d, p in packed:
-        assert [t[0] for t in p] == list(d)
-        assert all(t[1] is c for t, c in zip(p, d.values()))
-        assert all(isinstance(c, float) for c in d.values())
+    assert any(L > 1 and any(R) for R, L in residuals)
