@@ -2,7 +2,7 @@
 and compare the macroscale closures against the microscale reference.
 
 Verbs:
-  derive   --order N --out DIR [--eps-order K]
+  derive   --order N --out DIR
   simulate --scenario FILE --mode {micro|macro-dirichlet|macro-robin|macro-robin-linear} --out DIR
   compare  --scenario FILE --out DIR [--window LO HI]
 
@@ -190,21 +190,22 @@ class Derivation:
             self.transform, data or BoundaryData())
 
 
-def _cross_validate(deriv, eps_order=None):
+def _cross_validate(deriv):
     """Build embedding A's graded view and check the derivation against both
     embeddings; returns (A's resonance report, the cross-check)."""
     transform, evolution, report = normalform.construct(
-        system.build_embedding("A"), order=deriv.order, eps_order=eps_order)
+        system.build_embedding("A"), order=deriv.order)
     cross = normalform.cross_validate_embeddings(
         transform, evolution, (deriv.transform, deriv.evolution))
     return report, cross
 
 
 def _cross_failure(cross):
-    """What fails an embedding cross-check: the discrepancy and the
-    resummation tail, as ``derive`` and ``compare`` both name them."""
+    """What fails an embedding cross-check, as ``derive`` and ``compare`` both
+    name it: the discrepancy, and the resummation tail at B's last cap."""
     return ("embedding cross-validation failed: discrepancy %.3e, resummation tail "
-            "estimate %.3e" % (cross.max_discrepancy, cross.tail_estimate))
+            "estimate %.3e, at resummation cap %d"
+            % (cross.max_discrepancy, cross.tail_estimate, cross.eps_order))
 
 
 def _series_block(series_vector, labels):
@@ -284,12 +285,11 @@ def _write(path, text):
         fh.write(text)
 
 
-def cmd_derive(order, out_dir, eps_order=None):
+def cmd_derive(order, out_dir):
     normalform.check_order(order)
-    normalform.check_eps_order(eps_order)
     os.makedirs(out_dir, exist_ok=True)
     deriv = Derivation(order=order)
-    report, cross = _cross_validate(deriv, eps_order)
+    report, cross = _cross_validate(deriv)
 
     _write(os.path.join(out_dir, "derivation_report.txt"),
            derivation_report(deriv, report, cross))
@@ -467,7 +467,6 @@ def build_parser():
 
     p = sub.add_parser("derive", help="run the derivation pipeline")
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--eps-order", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="run one solver on a scenario")
@@ -490,7 +489,7 @@ def main(argv=None):
         return 0 if ex.code in (0, None) else 1
     try:
         if args.command == "derive":
-            return cmd_derive(args.order, args.out, args.eps_order)
+            return cmd_derive(args.order, args.out)
         if args.command == "simulate":
             return cmd_simulate(args.scenario, args.mode, args.out)
         if args.command == "compare":

@@ -31,8 +31,8 @@ derivation consumes.  The graded views of the embeddings only verify it, on
 the separated sector, in ``cross_validate_embeddings``: embedding A's
 parameter series terminate and sum exactly onto it, and embedding B's,
 which do not, are resummed by Wynn's epsilon-algorithm on their partial
-sums to the cap, with the change over the last few parameter degrees as
-the estimate of what the cap leaves out.  B's base rates are irrational, so
+sums to a cap that doubles until the change over the last few parameter
+degrees, the tail estimate, is small.  B's base rates are irrational, so
 ``construct``, which is exact only, refuses it; its graded view comes from
 ``construct_dense``: the same construction in floats, one state degree at
 a time, with every coefficient held on a dense parameter axis, so products
@@ -88,7 +88,8 @@ from .system import SpatialSystem, coordinate_map
 
 NF_VARS = ("s1", "s2", "s3", "s4", "eps")
 NF_STATE = ("s1", "s2", "s3", "s4")
-DEFAULT_EPS_ORDER = 36
+DEFAULT_EPS_ORDER = 36  # parameter-degree cap of a graded view, and B's first cap
+MAX_EPS_ORDER = 4 * DEFAULT_EPS_ORDER  # the cross-check doubles B's cap up to here
 CROSS_TOLERANCE = 1e-12  # the embedding cross-check's bound, read at call time
 WYNN_WIDTH = 11  # partial sums per Wynn table: the epsilon_10 column
 TAIL_STEP = 4    # parameter degrees dropped for the tail estimate
@@ -998,8 +999,6 @@ def wynn_epsilon(sums):
     the deepest even column reached, so a terminated series gives its last
     partial sum; fewer than 3 sums give the last one.
     """
-    if len(sums) < 3:
-        return sums[-1]
     col = list(sums[-WYNN_WIDTH:])
     older = [0] * (len(col) + 1)
     best = col[-1]
@@ -1024,8 +1023,8 @@ class CrossCheck:
     graded constructions coefficientwise; ``resummation_gap`` compares the
     resummation of embedding A against the parameter-1 construction;
     ``tail_estimate`` is the largest change of embedding B's Wynn value when
-    its last ``TAIL_STEP`` parameter degrees are dropped (infinite when the
-    cap is below ``TAIL_STEP``).  The check passes when all three are within
+    its last ``TAIL_STEP`` parameter degrees are dropped, at ``eps_order``,
+    the last cap B was built at.  The check passes when all three are within
     ``tolerance``, the ``CROSS_TOLERANCE`` it was made with.
     """
 
@@ -1054,14 +1053,12 @@ def cross_validate_embeddings(transform, evolution, direct):
     ``transform`` and ``evolution`` are the caller's graded construction of
     embedding A; ``direct`` is the (transform, evolution) pair that
     ``construct_at_unity`` built at the same order.  Only embedding B's
-    graded view is built here, at A's ``order`` and ``eps_order`` (K), by
-    ``construct_dense``: in floats on a dense parameter axis, at every
-    model, rational or not.  Its accumulation order is fixed and uses no
-    matrix product or pairwise sum, so the report's float lines are the
-    same on every CPU.
+    graded view is built here, at A's ``order``, by ``construct_dense``: in
+    floats, in a fixed accumulation order (so the report's float lines are
+    the same on every CPU), at every model, rational or not.
 
-    A's parameter series terminate (at degree 10 at order 3), so A is
-    resummed exactly by ``TruncatedSeries.grading_at_one``: each state
+    A's parameter series terminate (at degree 4·order - 2), so A is summed
+    once, exactly, by ``TruncatedSeries.grading_at_one``: each state
     monomial's coefficients are summed over the parameter powers in stored
     term order, and sums that cancel to zero are dropped.  B's series do
     not terminate; each separated-sector monomial of B is resummed by
@@ -1071,32 +1068,36 @@ def cross_validate_embeddings(transform, evolution, direct):
     Fractions, so the gap is exact before it is rounded to a float.  The
     tail estimate reads B's convergence from the same build: the largest
     change of B's Wynn value between the partial sums to K and to
-    K - ``TAIL_STEP``.  A non-finite Wynn value makes the discrepancy and
-    the tail NaN or infinite, and so fails the check against ``CROSS_TOLERANCE``.
+    K - ``TAIL_STEP``.  K starts at A's ``eps_order`` (at least
+    ``TAIL_STEP``) and doubles, B being rebuilt, while the tail exceeds
+    ``CROSS_TOLERANCE`` and 2·K is within ``MAX_EPS_ORDER``.  A non-finite
+    Wynn value makes the discrepancy and the tail NaN or infinite: a FAIL.
     """
     from .system import build_embedding
 
-    order, eps_order = transform.order, transform.eps_order
-    dense = construct_dense(build_embedding("B"), order=order, eps_order=eps_order)
-    worst = 0.0
-    gap = 0.0
-    tail = 0.0 if eps_order >= TAIL_STEP else math.inf
-    for a, b, unit in zip((transform, evolution), dense, direct):
-        for c, (ca, cu) in enumerate(zip(a.series, unit)):
-            da = _separated_sector(ca.grading_at_one())
+    gap, sectors = 0.0, []
+    for a, unit in zip((transform, evolution), direct):
+        for ca, cu in zip(a.series, unit):
+            da, du = _separated_sector(ca.grading_at_one()), _separated_sector(cu)
+            for key in set(da) | set(du):
+                gap = _worse(gap, float(abs(da.get(key, 0) - du.get(key, 0))))
+            sectors.append(da)
+    tolerance, eps_order = CROSS_TOLERANCE, max(transform.eps_order, TAIL_STEP)
+    while True:
+        dense = construct_dense(build_embedding("B"), transform.order, eps_order)
+        worst = tail = 0.0
+        for da, (b, c) in zip(sectors, [(b, c) for b in dense for c in range(4)]):
             db = {}
             for s, coefs in b.items():
                 mons = _monomials(s)[0]
                 for m, row in zip(mons, np.cumsum(coefs[:, c, :], axis=1).tolist()):
                     if min(m[2], m[3]) == 0:
                         db[m] = wynn_epsilon(row)
-                        if eps_order >= TAIL_STEP:
-                            tail = _worse(tail, abs(db[m] - wynn_epsilon(row[:-TAIL_STEP])))
+                        tail = _worse(tail, abs(db[m] - wynn_epsilon(row[:-TAIL_STEP])))
             for key in set(da) | set(db):
                 worst = _worse(worst, abs(float(da.get(key, 0)) - float(db.get(key, 0))))
-            du = _separated_sector(cu)
-            for key in set(da) | set(du):
-                gap = _worse(gap, float(abs(da.get(key, 0) - du.get(key, 0))))
-    tolerance = CROSS_TOLERANCE
+        if not tail > tolerance or 2 * eps_order > MAX_EPS_ORDER:
+            break
+        eps_order *= 2
     passed = worst <= tolerance and gap <= tolerance and tail <= tolerance
-    return CrossCheck(passed, worst, gap, tail, order, eps_order, tolerance)
+    return CrossCheck(passed, worst, gap, tail, transform.order, eps_order, tolerance)

@@ -190,7 +190,8 @@ def test_derive_rejects_low_order(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("args", (["--order", "8"], ["--eps-order", "-1"]))
+# the resummation cap is no option: it follows the tail estimate
+@pytest.mark.parametrize("args", (["--order", "8"], ["--eps-order", "48"]))
 def test_derive_rejects_bad_orders_before_any_work(tmp_path, monkeypatch, args):
     def forbidden(*a, **kw):
         raise AssertionError("no construction may start on a bad order")
@@ -334,13 +335,17 @@ def test_seed_tolerance_override(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "loose")]) == 0
 
 
-def test_derive_fails_when_the_resummation_tail_exceeds_the_tolerance(tmp_path, capsys):
+def test_derive_fails_when_the_resummation_tail_exceeds_the_tolerance(tmp_path, monkeypatch,
+                                                                     capsys):
+    # with the ceiling at the first cap, order 4's tail at 36 (4.229e-11) stays
+    monkeypatch.setattr(normalform, "MAX_EPS_ORDER", 36)
     out = tmp_path / "short"
-    assert cli.main(["derive", "--order", "3", "--eps-order", "20", "--out", str(out)]) == 2
+    assert cli.main(["derive", "--order", "4", "--out", str(out)]) == 2
     assert re.search(r"discrepancy \d\.\d{3}e[-+]\d\d, resummation tail estimate "
-                     r"\d\.\d{3}e[-+]\d\d", capsys.readouterr().err)
-    tail = re.search(r"resummation tail estimate: (\S+)",
-                     read(out / "derivation_report.txt")).group(1)
+                     r"\d\.\d{3}e[-+]\d\d, at resummation cap 36$", capsys.readouterr().err)
+    report = read(out / "derivation_report.txt")
+    assert "embedding resummation cap: 36" in report
+    tail = re.search(r"resummation tail estimate: (\S+)", report).group(1)
     assert float(tail) > 1e-12
 
 
@@ -365,8 +370,10 @@ def test_derive_fails_on_a_non_finite_coefficient_of_b(tmp_path, monkeypatch, ca
 def test_compare_names_the_resummation_tail(tmp_path, monkeypatch, capsys):
     # at order 2 the discrepancy reads 3.6e-15 and the tail 9.0e-14: a
     # tolerance between them fails the check on the tail alone, and compare
-    # must say so in its report and its exit message, as derive does
+    # must say so in its report and its exit message, as derive does; the
+    # ceiling at the first cap keeps B from doubling it past the tail
     monkeypatch.setattr(normalform, "CROSS_TOLERANCE", 1e-14)
+    monkeypatch.setattr(normalform, "MAX_EPS_ORDER", 36)
     scenario = tmp_path / "small.cfg"
     scenario.write_text(SMALL_SCENARIO.replace("order = 3", "order = 2"))
     out = tmp_path / "cmp"

@@ -97,14 +97,19 @@ print(json.dumps([codes, stack(), sys.modules["msbc.solvers"]._LAPACK.source,
 
 
 def test_failed_cross_check_exits_2_without_the_solver_stack(tmp_path):
+    # no discrepancy meets a bound of 1e-30; B's cap doubles once, to a tail
+    # within it
     code, err, loaded = _run("""
+from msbc import normalform
+normalform.CROSS_TOLERANCE = 1e-30
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
-    code = cli.main(["derive", "--order", "3", "--eps-order", "0", "--out", %r])
+    code = cli.main(["derive", "--order", "3", "--out", %r])
 print(json.dumps([code, err.getvalue(), stack()]))
 """ % str(tmp_path))
     assert code == 2
-    assert "discrepancy 5.654e+00" in err
+    assert ("discrepancy 7.871e-14, resummation tail estimate 1.972e-31, "
+            "at resummation cap 72") in err
     assert loaded == []
 
 

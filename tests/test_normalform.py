@@ -382,6 +382,50 @@ def test_cross_validation_identity_and_orders(constructed, at_unity):
     assert "%.6e" % lower.max_discrepancy == "3.552714e-15"
 
 
+def _caps_tried(monkeypatch):
+    """The parameter cap of every ``construct_dense`` call from now on."""
+    caps, real = [], normalform.construct_dense
+
+    def spy(emb, order=3, eps_order=None):
+        caps.append(eps_order)
+        return real(emb, order, eps_order)
+
+    monkeypatch.setattr(normalform, "construct_dense", spy)
+    return caps
+
+
+@pytest.mark.parametrize("order,ceiling,caps,discrepancy,tail", (
+    (3, None, [36], "7.871e-14", "9.037e-14"),
+    # the tail at 36 fails, at 72 it passes and the discrepancy alone fails
+    (4, None, [36, 72], "3.476e-12", "1.972e-31"),
+    # a ceiling of 36 leaves no room to double: the tail fails the check
+    (4, 36, [36], "4.781e-11", "4.229e-11")))
+def test_cross_check_doubles_b_cap_while_the_tail_exceeds_the_tolerance(
+        monkeypatch, order, ceiling, caps, discrepancy, tail):
+    if ceiling is not None:
+        monkeypatch.setattr(normalform, "MAX_EPS_ORDER", ceiling)
+    transform, evolution, _ = normalform.construct(system.build_embedding("A"), order)
+    unity = normalform.construct_at_unity(system.build_original(), order)
+    tried = _caps_tried(monkeypatch)
+    cc = normalform.cross_validate_embeddings(transform, evolution, unity[:2])
+    assert tried == caps and cc.eps_order == caps[-1]
+    assert ("%.3e" % cc.max_discrepancy, "%.3e" % cc.tail_estimate) == (discrepancy, tail)
+    assert cc.identical == (order == 3)
+    assert (cc.tail_estimate <= normalform.CROSS_TOLERANCE) == (ceiling is None)
+
+
+def test_cross_check_doubling_ends_at_the_ceiling_from_a_cap_of_0(monkeypatch):
+    # A built at cap 0: B's first cap is raised to TAIL_STEP, since 0 would
+    # never grow; under a bound no tail meets, only the ceiling ends it
+    monkeypatch.setattr(normalform, "CROSS_TOLERANCE", -1.0)
+    transform, evolution, _ = normalform.construct(system.build_embedding("A"), 2, 0)
+    unity = normalform.construct_at_unity(system.build_original(), 2)
+    tried = _caps_tried(monkeypatch)
+    cc = normalform.cross_validate_embeddings(transform, evolution, unity[:2])
+    assert tried == [4, 8, 16, 32, 64, 128] and cc.eps_order == 128
+    assert not cc.identical
+
+
 def test_resummation_gap_is_compared_exactly(constructed, at_unity):
     # A's resummed sector and the parameter-1 pair are both Fractions: a
     # shift of 1e-20, which vanishes in a float difference, is the gap
