@@ -305,7 +305,7 @@ def _assemble(slices, space, decode):
         for slc in slices.values():
             for key, coef, _, _ in slc[c]:
                 terms[decode(key)] = Fraction(coef, slc[c].den)
-        comps.append(TruncatedSeries(space, terms))
+        comps.append(TruncatedSeries._raw(space, terms))
     return SeriesVector(comps)
 
 

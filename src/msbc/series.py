@@ -498,12 +498,12 @@ class SeriesVector:
 def solve_implicit_system(equations, unknowns, knowns):
     """Revert a truncated series system.
 
-    ``equations[i]`` is a series over one shared space expressing a known
-    quantity in terms of the unknowns and the remaining knowns; its value is
-    the i-th of the last ``len(equations)`` names in ``knowns``.  Returns
-    one series per unknown, in the knowns, such that back-substitution
-    reproduces the value variables up to truncation.  The block linear in
-    the unknowns must be exact and invertible.
+    ``equations[i]``, over one shared space, gives the i-th of the last
+    ``len(equations)`` names in ``knowns`` in terms of the unknowns and the
+    other knowns.  Returns one series per unknown, in the knowns, that
+    back-substitution maps to the value variables up to truncation; the
+    block linear in the unknowns must be exact and invertible.  Picard
+    sweep k = 1..order is exact through degree k and runs truncated there.
     """
     eqs = list(equations)
     sp = eqs[0].space
@@ -528,29 +528,22 @@ def solve_implicit_system(equations, unknowns, knowns):
         Jinv = J.inverse().rows
     except LinalgError:
         raise ReversionError("singular Jacobian at the origin") from None
-    rest = []
-    for eq in eqs:
-        terms = dict(eq.terms)
-        for j in uidx:
-            terms.pop(unit(j), None)
-        rest.append(TruncatedSeries._raw(sp, terms))
+    linear = {unit(j) for j in uidx}
+    rest = [{e: c for e, c in eq.terms.items() if e not in linear} for eq in eqs]
 
-    y = [TruncatedSeries.variable(sp, v) for v in values]
-    guesses = [TruncatedSeries.zero(sp) for _ in range(m)]
-    for _ in range(max(sp.order, 1)):
-        resid = []
-        for i in range(m):
-            bound = rest[i].substitute({unknowns[k]: guesses[k] for k in range(m)})
-            resid.append(y[i] - bound)
-        new = []
-        for i in range(m):
-            acc = TruncatedSeries.zero(sp)
-            for k in range(m):
-                acc = acc + resid[k] * Jinv[i][k]
-            new.append(acc)
-        if new == guesses:
-            break
-        guesses = new
+    guesses = [{} for _ in range(m)]
+    for deg in range(1, sp.order + 1):
+        spk = sp if deg == sp.order else Space(sp.names, deg, sp.grading, sp.grading_order)
+
+        def cut(terms):
+            return TruncatedSeries._raw(spk, {e: c for e, c in terms.items() if spk.admits(e)})
+
+        bindings = {unknowns[k]: cut(guesses[k]) for k in range(m)}
+        resid = [TruncatedSeries.variable(spk, values[i]) - cut(rest[i]).substitute(bindings)
+                 for i in range(m)]
+        guesses = [sum((resid[k] * Jinv[i][k] for k in range(m)), TruncatedSeries.zero(spk)).terms
+                   for i in range(m)]
+    guesses = [TruncatedSeries._raw(sp, g) for g in guesses]
     for g in guesses:
         for e in g.terms:
             if any(e[j] for j in uidx):

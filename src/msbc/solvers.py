@@ -205,7 +205,7 @@ _ERROR_CONST = _KAPPA * _GAMMA + 1 / np.arange(1, _MAX_ORDER + 2)
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _compute_R(order, factor):
@@ -346,7 +346,7 @@ class _BandBDF:
         converged = False
         for k in range(_NEWTON_MAXITER):
             f = self.fun(t_new, y)
-            if not np.all(np.isfinite(f)):
+            if not np.isfinite(f).all():
                 break
             dy = self._solve(LU, c * f - psi - d)
             dy_norm = _rms(dy / scale)
@@ -369,7 +369,7 @@ class _BandBDF:
         the spacing of floats at t."""
         t = self.t
         D = self.D
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * np.abs(math.nextafter(t, math.inf) - t)
         if self.h_abs < min_step:
             h_abs = min_step
             _change_D(D, self.order, min_step / self.h_abs)

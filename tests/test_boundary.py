@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import operator
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from msbc import boundary
+from msbc import boundary, normalform, system
 from msbc.boundary import BoundaryData
 from msbc.series import ReversionError, TruncatedSeries
 
@@ -75,6 +76,25 @@ def test_reverted_round_trip(derivation):
         back = eq.substitute({"s1_0": rev.s1_series, "s3_0": rev.s3_series})
         resid = back - TruncatedSeries.variable(sp, value_var)
         assert resid.is_zero()
+
+
+# sha256 over the reverted s1_0 and s3_0 series at orders 2-7, terms in
+# stored (insertion) order: RobinBC compiles its float closure in that order,
+# so a change to the reversion must keep the order as well as every
+# coefficient.
+REVERTED_SHA256 = (
+    "58b2daa8f1a28856b714ddc030b2429ed9aa0b5f1433df135a7bbaf7a3f31de2")
+
+
+def test_reverted_series_bit_identical_at_orders_two_to_seven():
+    h = hashlib.sha256()
+    for order in range(2, 8):
+        transform = normalform.construct_at_unity(system.build_original(), order)[0]
+        rev = boundary.revert_boundary(boundary.centre_stable_restriction(transform))
+        for series in (rev.s1_series, rev.s3_series):
+            h.update(repr(list(series.terms.items())).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == REVERTED_SHA256
 
 
 def test_reversion_failure_propagates():

@@ -809,6 +809,23 @@ def test_constructions_bit_identical():
     assert _constructions_digest() == CONSTRUCTIONS_SHA256
 
 
+def test_assembled_series_survive_the_validating_constructor():
+    # _assemble builds each component with TruncatedSeries._raw; the
+    # constructor, which drops zeros and terms beyond the caps and coerces
+    # coefficients, must give back every term in the same order
+    vecs = []
+    for order in range(2, 6):
+        transform, evolution, _ = normalform.construct(system.build_embedding("A"), order=order)
+        vecs += [transform.series, evolution.series]
+    for order in range(2, 8):
+        vecs += normalform.construct_at_unity(system.build_original(), order)[:2]
+    for vec in vecs:
+        for comp in vec:
+            assert all(type(c) is F for c in comp.terms.values())
+            rebuilt = TruncatedSeries(comp.space, comp.terms)
+            assert list(rebuilt.terms.items()) == list(comp.terms.items())
+
+
 def test_each_frozen_slice_is_differentiated_once_per_variable(monkeypatch):
     real = normalform._derivative
     built, calls = [], []
